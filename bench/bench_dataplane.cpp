@@ -227,8 +227,7 @@ ChurnResult run_dataplane(std::uint64_t fetches,
                   strip;
       return;
     }
-    const das::pfs::StripBuffer& stored = store.buffer(0, strip);
-    das::pfs::StripBuffer payload = stored.view(0, stored.size());
+    das::pfs::StripBuffer payload = store.buffer(0, strip);
     das::sim::InplaceFn<void(const das::pfs::StripBuffer&)> deliver =
         [slab_data = slab.data(), sum = &checksum,
          strip](const das::pfs::StripBuffer& bytes) {
@@ -280,7 +279,6 @@ int main(int argc, char** argv) {
   // Identical strip contents for both stores.
   LegacyStore legacy_store;
   das::pfs::ServerStore store;
-  store.reserve_file(0, kNumStrips);
   for (std::uint64_t s = 0; s < kNumStrips; ++s) {
     std::vector<std::byte> bytes(kStripBytes);
     for (std::uint64_t i = 0; i < kStripBytes; ++i) {

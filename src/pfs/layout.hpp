@@ -10,6 +10,13 @@
 //    preceding server and the last `halo` strips on the following server, so
 //    stencil dependences that reach at most `halo` strips never cross
 //    servers. Capacity overhead is 2*halo/r (the paper's "2/r" for halo=1).
+//
+// Besides the holder sets, every layout answers three placement questions
+// in closed form, without allocating: does a server hold a strip, how many
+// strips of a file does it hold, and what is a strip's rank among them.
+// ServerStore derives each strip's disk position from that rank, so a
+// server keeps no per-strip state for placement the layout already implies
+// (the distribution-function view of PVFS's noncontiguous I/O work).
 #pragma once
 
 #include <cstdint>
@@ -45,8 +52,19 @@ class Layout {
       std::uint64_t strip, std::uint64_t num_strips) const;
 
   /// True if `server` holds `strip` (as primary or replica).
-  [[nodiscard]] bool holds(ServerIndex server, std::uint64_t strip,
-                           std::uint64_t num_strips) const;
+  [[nodiscard]] virtual bool holds(ServerIndex server, std::uint64_t strip,
+                                   std::uint64_t num_strips) const = 0;
+
+  /// Number of strips `server` holds: local_strips(server, n).size().
+  /// Requires num_strips > 0.
+  [[nodiscard]] virtual std::uint64_t local_count(
+      ServerIndex server, std::uint64_t num_strips) const = 0;
+
+  /// Strips below `strip` that `server` holds — for a held strip, its index
+  /// in local_strips(server, num_strips). Requires strip < num_strips.
+  [[nodiscard]] virtual std::uint64_t local_ordinal(
+      ServerIndex server, std::uint64_t strip,
+      std::uint64_t num_strips) const = 0;
 
   /// Strips whose primary copy is on `server`, ascending.
   [[nodiscard]] std::vector<std::uint64_t> primary_strips(
@@ -71,6 +89,13 @@ class RoundRobinLayout final : public Layout {
 
   [[nodiscard]] std::uint32_t num_servers() const override { return d_; }
   [[nodiscard]] ServerIndex primary(std::uint64_t strip) const override;
+  [[nodiscard]] bool holds(ServerIndex server, std::uint64_t strip,
+                           std::uint64_t num_strips) const override;
+  [[nodiscard]] std::uint64_t local_count(
+      ServerIndex server, std::uint64_t num_strips) const override;
+  [[nodiscard]] std::uint64_t local_ordinal(
+      ServerIndex server, std::uint64_t strip,
+      std::uint64_t num_strips) const override;
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] std::unique_ptr<Layout> clone() const override;
 
@@ -85,6 +110,13 @@ class GroupedLayout : public Layout {
 
   [[nodiscard]] std::uint32_t num_servers() const override { return d_; }
   [[nodiscard]] ServerIndex primary(std::uint64_t strip) const override;
+  [[nodiscard]] bool holds(ServerIndex server, std::uint64_t strip,
+                           std::uint64_t num_strips) const override;
+  [[nodiscard]] std::uint64_t local_count(
+      ServerIndex server, std::uint64_t num_strips) const override;
+  [[nodiscard]] std::uint64_t local_ordinal(
+      ServerIndex server, std::uint64_t strip,
+      std::uint64_t num_strips) const override;
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] std::unique_ptr<Layout> clone() const override;
 
@@ -110,6 +142,13 @@ class ReplicatedRoundRobinLayout final : public Layout {
   [[nodiscard]] ServerIndex primary(std::uint64_t strip) const override;
   [[nodiscard]] std::vector<ServerIndex> replicas(
       std::uint64_t strip, std::uint64_t num_strips) const override;
+  [[nodiscard]] bool holds(ServerIndex server, std::uint64_t strip,
+                           std::uint64_t num_strips) const override;
+  [[nodiscard]] std::uint64_t local_count(
+      ServerIndex server, std::uint64_t num_strips) const override;
+  [[nodiscard]] std::uint64_t local_ordinal(
+      ServerIndex server, std::uint64_t strip,
+      std::uint64_t num_strips) const override;
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] std::unique_ptr<Layout> clone() const override;
 
@@ -130,6 +169,13 @@ class DasReplicatedLayout final : public GroupedLayout {
 
   [[nodiscard]] std::vector<ServerIndex> replicas(
       std::uint64_t strip, std::uint64_t num_strips) const override;
+  [[nodiscard]] bool holds(ServerIndex server, std::uint64_t strip,
+                           std::uint64_t num_strips) const override;
+  [[nodiscard]] std::uint64_t local_count(
+      ServerIndex server, std::uint64_t num_strips) const override;
+  [[nodiscard]] std::uint64_t local_ordinal(
+      ServerIndex server, std::uint64_t strip,
+      std::uint64_t num_strips) const override;
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] std::unique_ptr<Layout> clone() const override;
 
@@ -141,6 +187,18 @@ class DasReplicatedLayout final : public GroupedLayout {
   }
 
  private:
+  /// Strips of group `group` at positions below `positions` that `server`
+  /// holds (own group, or a neighbour's halo edges).
+  [[nodiscard]] std::uint64_t held_in_group(ServerIndex server,
+                                            std::uint64_t group,
+                                            std::uint64_t positions,
+                                            std::uint64_t last_group) const;
+
+  /// Strips of groups [0, groups) that `server` holds; requires every one
+  /// of them to precede the file's last group.
+  [[nodiscard]] std::uint64_t held_before_group(ServerIndex server,
+                                                std::uint64_t groups) const;
+
   std::uint64_t halo_;
 };
 

@@ -62,20 +62,15 @@ FileId Pfs::create_file(FileMeta meta, std::unique_ptr<Layout> layout,
   DAS_REQUIRE(data == nullptr || data->size() == meta.size_bytes);
 
   const auto file = static_cast<FileId>(files_.size());
-  const std::uint64_t n = meta.num_strips();
   // One payload block for the whole file; every holder's strip is a shared
   // view into it (replicas share bytes with the primary — loading a
   // data-bearing file costs one copy total, not one per placed strip).
+  // Each store derives its holdings and their disk offsets from the layout,
+  // so placing a file costs O(1) per server, not O(strips).
   StripBuffer contents;
   if (data != nullptr) contents = StripBuffer::copy_of(*data);
-  for (const auto& server : servers_) server->store().reserve_file(file, n);
-  for (std::uint64_t s = 0; s < n; ++s) {
-    const StripRef ref = meta.strip(s);
-    for (const ServerIndex holder : layout->holders(s, n)) {
-      StripBuffer bytes;
-      if (!contents.empty()) bytes = contents.view(ref.offset, ref.length);
-      servers_[holder]->store().put(file, s, ref.length, std::move(bytes));
-    }
+  for (ServerIndex i = 0; i < num_servers(); ++i) {
+    servers_[i]->store().place_file(file, *layout, i, meta, contents);
   }
   FileEntry entry;
   entry.meta = std::move(meta);
@@ -268,6 +263,9 @@ std::uint64_t Pfs::redistribute(FileId file,
     sim_.schedule_after(net_.config().wire_latency,
                         [done]() { (*done)(); }, "pfs.redistribute_noop");
   }
+  // Into the graveyard, not destroyed: the stores derive the placement of
+  // create-time copies from the file's creation layout.
+  entry.retired_layouts.push_back(std::move(entry.layout));
   entry.layout = std::move(new_layout);
   return bytes_moved;
 }

@@ -168,8 +168,10 @@ class Pfs {
     /// First strip still served under prior_layout.
     std::uint64_t migrate_frontier = 0;
     bool migrating = false;
-    /// Layouts replaced by completed migrations. Kept alive so `const
-    /// Layout&` references captured before a migration never dangle.
+    /// Layouts replaced by completed migrations and by redistribute(). Kept
+    /// alive so `const Layout&` references captured before a migration
+    /// never dangle, and because the servers' stores derive create-time
+    /// placement from the file's creation layout.
     std::vector<std::unique_ptr<Layout>> retired_layouts;
   };
 

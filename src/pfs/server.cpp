@@ -131,7 +131,7 @@ void PfsServer::serve_read_now(ReadRequest request) {
   // Slice a shared view of the payload now (a later put would swap in a new
   // payload block; this handle keeps the bytes the read observed). No copy.
   ReadOp* op = acquire_read_op();
-  const StripBuffer& stored = store_.buffer(file, strip);
+  const StripBuffer stored = store_.buffer(file, strip);
   if (!stored.empty()) {
     op->payload = stored.view(request.offset_in_strip, request.length);
   }
@@ -191,11 +191,11 @@ void PfsServer::serve_list_now(ReadRequest request) {
   // the whole reply is one allocation end to end.
   ReadOp* op = acquire_read_op();
   if (request.length > 0 &&
-      !store_.buffer(file, request.runs.front().strip).empty()) {
+      !store_.bytes(file, request.runs.front().strip).empty()) {
     StripBuffer gathered = StripBuffer::allocate(request.length);
     std::uint64_t at = 0;
     for (const StripRun& r : request.runs) {
-      const StripBuffer& stored = store_.buffer(file, r.strip);
+      const auto stored = store_.bytes(file, r.strip);
       DAS_REQUIRE(!stored.empty());
       std::memcpy(gathered.mutable_data() + at,
                   stored.data() + r.offset_in_strip, r.length);

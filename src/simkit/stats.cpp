@@ -1,6 +1,7 @@
 #include "simkit/stats.hpp"
 
 #include <cmath>
+#include <functional>
 #include <sstream>
 
 #include "simkit/assert.hpp"
@@ -91,6 +92,34 @@ void Histogram::ensure_sorted() const {
     std::sort(samples_.begin(), samples_.end());
     sorted_ = true;
   }
+}
+
+void RunningMedian::record(double sample) {
+  const auto greater = std::greater<>{};
+  if (lower_.empty() || sample <= lower_.front()) {
+    lower_.push_back(sample);
+    std::push_heap(lower_.begin(), lower_.end());
+  } else {
+    upper_.push_back(sample);
+    std::push_heap(upper_.begin(), upper_.end(), greater);
+  }
+  // Rebalance so the max-heap holds exactly ceil(n/2) samples.
+  if (lower_.size() > upper_.size() + 1) {
+    std::pop_heap(lower_.begin(), lower_.end());
+    upper_.push_back(lower_.back());
+    lower_.pop_back();
+    std::push_heap(upper_.begin(), upper_.end(), greater);
+  } else if (upper_.size() > lower_.size()) {
+    std::pop_heap(upper_.begin(), upper_.end(), greater);
+    lower_.push_back(upper_.back());
+    upper_.pop_back();
+    std::push_heap(lower_.begin(), lower_.end());
+  }
+}
+
+double RunningMedian::median() const {
+  DAS_REQUIRE(!lower_.empty());
+  return lower_.front();
 }
 
 Counter& MetricsRegistry::counter(const std::string& name) {

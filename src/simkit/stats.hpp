@@ -96,6 +96,27 @@ class Histogram {
   double sum_ = 0.0;
 };
 
+/// Exact running median: after every record(), median() equals
+/// Histogram::quantile(0.5) over the same samples (nearest rank, the
+/// ceil(n/2)-th smallest) in O(log n) per sample and O(1) per read, where
+/// the histogram re-sorts whenever a sample arrived since its last sort.
+/// A max-heap holds the ceil(n/2) smallest samples, a min-heap the rest.
+class RunningMedian {
+ public:
+  void record(double sample);
+
+  [[nodiscard]] std::size_t count() const {
+    return lower_.size() + upper_.size();
+  }
+
+  /// Requires count() > 0.
+  [[nodiscard]] double median() const;
+
+ private:
+  std::vector<double> lower_;  // max-heap: the ceil(n/2) smallest
+  std::vector<double> upper_;  // min-heap: the rest
+};
+
 /// Named metrics for one component or one experiment run.
 class MetricsRegistry {
  public:

@@ -46,6 +46,7 @@ void StragglerScheduler::release_op(Op* op) {
 void StragglerScheduler::record_latency(pfs::ServerIndex server,
                                         double seconds) {
   latency_.record(seconds);
+  median_.record(seconds);
   if (samples_[server] == 0) {
     ewma_[server] = seconds;
   } else {
@@ -63,7 +64,7 @@ pfs::ServerIndex StragglerScheduler::pick_fastest(
   // rerouted and hedged traffic until its first reply landed. Score unknown
   // servers at the global median instead — competitive, but only chosen
   // over servers measured slower than the cluster norm.
-  const double unsampled = latency_.count() > 0 ? latency_.quantile(0.5) : 0.0;
+  const double unsampled = median_.count() > 0 ? median_.median() : 0.0;
   pfs::ServerIndex best = kNoServer;
   double best_score = 0.0;
   for (const pfs::ServerIndex h : holders) {
@@ -123,7 +124,7 @@ void StragglerScheduler::begin_read(net::NodeId client, net::TenantId tenant,
   if (config_.reroute && holders.size() > 1 &&
       latency_.count() >= config_.min_samples &&
       samples_[target] >= config_.min_samples &&
-      ewma_[target] > config_.reroute_multiplier * latency_.quantile(0.5)) {
+      ewma_[target] > config_.reroute_multiplier * median_.median()) {
     const pfs::ServerIndex fastest = pick_fastest(holders, kNoServer);
     if (fastest != kNoServer && fastest != target) {
       target = fastest;
@@ -234,7 +235,7 @@ void StragglerScheduler::arm_hedge(Op* op) {
   // before the straggler itself replied.
   const sim::SimDuration delay = std::max(
       config_.hedge_floor,
-      sim::seconds(config_.hedge_multiplier * latency_.quantile(0.5)));
+      sim::seconds(config_.hedge_multiplier * median_.median()));
   op->hedge_armed = true;
   op->hedge_timer = sim_.schedule_after(
       delay, [this, op]() { fire_hedge(op); }, "traffic.hedge");

@@ -158,6 +158,9 @@ class StragglerScheduler {
   std::vector<double> ewma_;
   std::vector<std::uint64_t> samples_;
   sim::Histogram latency_;
+  /// The global median every read, hedge and pick consults, kept beside
+  /// latency_ so it never waits on a re-sort of all samples.
+  sim::RunningMedian median_;
   telemetry::Counter reads_issued_;
   telemetry::Counter reroutes_;
   telemetry::Counter hedges_issued_;

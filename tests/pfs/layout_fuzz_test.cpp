@@ -103,6 +103,80 @@ TEST_P(LayoutFuzzTest, StructuralInvariantsHold) {
   EXPECT_GE(total_locals, strips);
 }
 
+// The closed forms (holds, local_count, local_ordinal, stored_bytes) must
+// agree with an enumeration of holders() for every strip and server.
+void expect_closed_forms_match(const Layout& layout, std::uint64_t strips) {
+  SCOPED_TRACE(layout.name() + " n=" + std::to_string(strips));
+  const std::uint32_t servers = layout.num_servers();
+  std::vector<std::vector<std::uint64_t>> held(servers);
+  for (std::uint64_t s = 0; s < strips; ++s) {
+    const auto holders = layout.holders(s, strips);
+    for (ServerIndex server = 0; server < servers; ++server) {
+      const bool expect =
+          std::find(holders.begin(), holders.end(), server) != holders.end();
+      ASSERT_EQ(layout.holds(server, s, strips), expect)
+          << "server " << server << " strip " << s;
+      if (expect) held[server].push_back(s);
+    }
+  }
+
+  // A short last strip: every strip is 16 bytes except the last (11).
+  FileMeta meta;
+  meta.strip_size = 16;
+  meta.size_bytes = strips * 16 - 5;
+  for (ServerIndex server = 0; server < servers; ++server) {
+    const auto& mine = held[server];
+    EXPECT_EQ(layout.local_strips(server, strips), mine);
+    EXPECT_EQ(layout.local_count(server, strips), mine.size());
+    std::uint64_t bytes = 0;
+    for (const std::uint64_t s : mine) bytes += meta.strip(s).length;
+    EXPECT_EQ(layout.stored_bytes(server, meta), bytes);
+    // local_ordinal counts the held strips below any strip: for a held
+    // strip that is its index in local_strips().
+    for (std::uint64_t s = 0; s < strips; ++s) {
+      const auto below = static_cast<std::uint64_t>(
+          std::lower_bound(mine.begin(), mine.end(), s) - mine.begin());
+      ASSERT_EQ(layout.local_ordinal(server, s, strips), below)
+          << "server " << server << " strip " << s;
+    }
+  }
+}
+
+void expect_every_layout_class_matches(const FuzzConfig& c) {
+  expect_closed_forms_match(RoundRobinLayout(c.servers), c.strips);
+  expect_closed_forms_match(GroupedLayout(c.servers, c.group), c.strips);
+  // copies = halo + 1 spans 2..5, clamped to D when D is smaller.
+  const auto copies = static_cast<std::uint32_t>(c.halo + 1);
+  const ReplicatedRoundRobinLayout replicated(c.servers, copies);
+  expect_closed_forms_match(replicated, c.strips);
+  const DasReplicatedLayout das(c.servers, c.group, c.halo);
+  expect_closed_forms_match(das, c.strips);
+}
+
+TEST_P(LayoutFuzzTest, ClosedFormPlacementMatchesHolders) {
+  expect_every_layout_class_matches(GetParam());
+}
+
+// Hand-picked edges: D = 1, n < D, n not a multiple of D or r, groups of
+// exactly 2 * halo, and copies clamped to D.
+TEST(LayoutClosedFormTest, EdgeShapesMatchHolders) {
+  constexpr std::uint32_t kServers[] = {1, 2, 3, 12};
+  constexpr std::uint64_t kStrips[] = {1, 2, 5, 11, 13, 37, 97};
+  constexpr std::uint64_t kGroups[] = {2, 3, 4, 7};
+  for (const std::uint32_t servers : kServers) {
+    for (const std::uint64_t strips : kStrips) {
+      for (const std::uint64_t group : kGroups) {
+        expect_every_layout_class_matches({servers, group, 1, strips});
+        if (group >= 4) {
+          expect_every_layout_class_matches({servers, group, 2, strips});
+        }
+      }
+      const ReplicatedRoundRobinLayout all_copies(servers, 40);
+      expect_closed_forms_match(all_copies, strips);
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Random, LayoutFuzzTest,
                          ::testing::ValuesIn(random_configs(24)),
                          [](const auto& info) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "pfs/layout.hpp"
 #include "pfs/strip_buffer.hpp"
 
 namespace das::pfs {
@@ -137,14 +138,60 @@ TEST(ServerStoreTest, BufferHandleSurvivesReplaceAndErase) {
   EXPECT_EQ(snapshot.to_vector(), bytes_of({1, 2, 3, 4}));
 }
 
-TEST(ServerStoreTest, ReserveFilePresizesWithoutStoring) {
+// A placed file stores exactly its layout's holdings for this server, at
+// offsets derived from their rank, with no per-strip state; strips put
+// afterwards are appended past the file's holdings.
+TEST(ServerStoreTest, PlaceFileDerivesHoldingsFromTheLayout) {
   ServerStore store;
-  store.reserve_file(2, 16);
-  EXPECT_FALSE(store.has(2, 0));
-  EXPECT_EQ(store.strip_count(), 0U);
-  store.put(2, 15, 8, {});
-  EXPECT_TRUE(store.has(2, 15));
-  EXPECT_EQ(store.strip_count(), 1U);
+  store.put(0, 0, 10, {});  // an earlier file moves the disk cursor
+  FileMeta meta;
+  meta.size_bytes = 7 * 16 + 5;  // 8 strips, the last one short
+  meta.strip_size = 16;
+  const RoundRobinLayout layout(3);
+  store.place_file(1, layout, 2, meta, {});
+
+  // Server 2 of 3 holds strips 2 and 5.
+  EXPECT_EQ(store.strip_count(), 3U);
+  EXPECT_EQ(store.stored_bytes(), 10U + 32U);
+  EXPECT_FALSE(store.has(1, 0));
+  EXPECT_TRUE(store.has(1, 2));
+  EXPECT_TRUE(store.has(1, 5));
+  EXPECT_FALSE(store.has(1, 8));
+  EXPECT_EQ(store.disk_offset(1, 2), 10U);
+  EXPECT_EQ(store.disk_offset(1, 5), 26U);
+  EXPECT_TRUE(store.bytes(1, 5).empty());
+
+  store.put(1, 7, 5, {});  // the short last strip, migrated in
+  EXPECT_EQ(store.disk_offset(1, 7), 42U);
+  EXPECT_EQ(store.length(1, 7), 5U);
+}
+
+TEST(ServerStoreTest, PlacedHoldingsSliceTheFilePayload) {
+  ServerStore store;
+  FileMeta meta;
+  meta.size_bytes = 6;
+  meta.strip_size = 4;  // strips {1,2,3,4} and {5,6}
+  const RoundRobinLayout layout(1);
+  const StripBuffer contents = buffer_of({1, 2, 3, 4, 5, 6});
+  store.place_file(0, layout, 0, meta, contents);
+  EXPECT_EQ(stored(store, 0, 1), bytes_of({5, 6}));
+  EXPECT_EQ(store.buffer(0, 0).to_vector(), bytes_of({1, 2, 3, 4}));
+
+  // A retired holding stays readable; writing it again restores it.
+  store.retire(0, 0);
+  EXPECT_FALSE(store.has(0, 0));
+  EXPECT_TRUE(store.readable(0, 0));
+  EXPECT_EQ(store.stored_bytes(), 2U);
+  store.put(0, 0, 4, store.buffer(0, 0));
+  EXPECT_TRUE(store.has(0, 0));
+  EXPECT_EQ(store.stored_bytes(), 6U);
+
+  // Erase and re-put keep the derived offset.
+  store.erase(0, 1);
+  EXPECT_FALSE(store.readable(0, 1));
+  store.put(0, 1, 2, buffer_of({7, 8}));
+  EXPECT_EQ(store.disk_offset(0, 1), 4U);
+  EXPECT_EQ(stored(store, 0, 1), bytes_of({7, 8}));
 }
 
 TEST(ServerStoreDeathTest, LengthMismatchAborts) {

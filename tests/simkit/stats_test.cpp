@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "simkit/random.hpp"
+
 namespace das::sim {
 namespace {
 
@@ -205,6 +207,49 @@ TEST(GaugeTest, SameInstantUpdateReplacesValue) {
 TEST(HistogramDeathTest, QuantileOfEmptyAborts) {
   Histogram h;
   EXPECT_DEATH(h.quantile(0.5), "DAS_REQUIRE");
+}
+
+// Property: the running median equals the histogram's nearest-rank median
+// after every single record, whatever the arrival order.
+void expect_running_median_matches(const std::vector<double>& samples) {
+  RunningMedian running;
+  Histogram histogram;
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    running.record(samples[i]);
+    histogram.record(samples[i]);
+    ASSERT_EQ(running.count(), histogram.count());
+    ASSERT_EQ(running.median(), histogram.quantile(0.5))
+        << "after " << i + 1 << " samples";
+  }
+}
+
+TEST(RunningMedianTest, MatchesHistogramMedianOnRandomSamples) {
+  Rng rng(0x5EED);
+  std::vector<double> samples;
+  for (int i = 0; i < 2000; ++i) samples.push_back(rng.uniform_real(0, 1));
+  expect_running_median_matches(samples);
+}
+
+TEST(RunningMedianTest, MatchesHistogramMedianOnDuplicateHeavySamples) {
+  Rng rng(0xD0D0);
+  std::vector<double> samples;
+  for (int i = 0; i < 2000; ++i) {
+    samples.push_back(static_cast<double>(rng.uniform_int(0, 4)));
+  }
+  expect_running_median_matches(samples);
+}
+
+TEST(RunningMedianTest, MatchesHistogramMedianOnSortedSamples) {
+  std::vector<double> ascending;
+  for (int i = 0; i < 1000; ++i) ascending.push_back(0.001 * i);
+  expect_running_median_matches(ascending);
+  const std::vector<double> descending(ascending.rbegin(), ascending.rend());
+  expect_running_median_matches(descending);
+}
+
+TEST(RunningMedianDeathTest, MedianOfEmptyAborts) {
+  const RunningMedian running;
+  EXPECT_DEATH(static_cast<void>(running.median()), "DAS_REQUIRE");
 }
 
 TEST(RegistryTest, FindOrCreateReturnsSameInstance) {
