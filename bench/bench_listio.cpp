@@ -38,9 +38,9 @@
 namespace {
 
 using das::core::AccessSpec;
-using das::core::ListRunOptions;
 using das::core::RunReport;
 using das::core::Scheme;
+using das::core::SchemeRunOptions;
 
 /// At 1/8 sparsity the list path must move at most this fraction of the
 /// whole-strip bytes...
@@ -68,8 +68,8 @@ struct CaseResult {
   }
 };
 
-ListRunOptions base_options(std::uint64_t gib) {
-  ListRunOptions options;
+SchemeRunOptions base_options(std::uint64_t gib) {
+  SchemeRunOptions options;
   options.scheme = Scheme::kTS;
   options.workload.kernel_name = "flow-routing";
   options.workload.data_bytes = gib << 30;
@@ -87,13 +87,13 @@ CaseResult run_case(std::uint64_t gib, const AccessSpec& access) {
   CaseResult result;
   result.access = access.label();
   const auto start = std::chrono::steady_clock::now();
-  ListRunOptions list = base_options(gib);
+  SchemeRunOptions list = base_options(gib);
   list.access = access;
-  result.list = das::core::run_list_scheme(list);
-  ListRunOptions whole = base_options(gib);
+  result.list = das::core::run_scheme(list);
+  SchemeRunOptions whole = base_options(gib);
   whole.access = access;
   whole.whole_strips = true;
-  result.whole = das::core::run_list_scheme(whole);
+  result.whole = das::core::run_scheme(whole);
   const auto stop = std::chrono::steady_clock::now();
   result.wall_seconds = std::chrono::duration<double>(stop - start).count();
   return result;

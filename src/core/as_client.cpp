@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "core/bandwidth_model.hpp"
+#include "core/completion.hpp"
 #include "simkit/assert.hpp"
 #include "simkit/trace.hpp"
 
@@ -49,9 +50,15 @@ SubmissionResult ActiveStorageClient::submit(const ActiveRequest& request,
   DAS_REQUIRE(kernel.is_reduction() || output_bytes == meta.size_bytes);
 
   SubmissionResult result;
-  result.decision =
-      engine_.decide(meta, pfs.layout(request.input), features, output_bytes,
-                     request.pipeline_length, request.repeat_count);
+  if (request.action) {
+    DAS_REQUIRE(*request.action != OffloadAction::kOffloadAfterRedistribution);
+    result.decision.action = *request.action;
+  } else {
+    result.decision =
+        engine_.decide(meta, pfs.layout(request.input), features,
+                       output_bytes, request.pipeline_length,
+                       request.repeat_count);
+  }
   if (!request.allow_redistribution &&
       result.decision.action == OffloadAction::kOffloadAfterRedistribution) {
     // Without permission to move data, fall back to the cheaper of the two
@@ -67,7 +74,7 @@ SubmissionResult ActiveStorageClient::submit(const ActiveRequest& request,
       action == OffloadAction::kOffloadAfterRedistribution;
 
   sim::Tracer& tracer = cluster_.simulator().tracer();
-  if (tracer.enabled()) {
+  if (tracer.enabled() && !request.action) {
     tracer.instant_now(
         cluster_.compute_node(0), sim::TraceTrack::kRequest, "decision",
         "request",
@@ -97,43 +104,36 @@ SubmissionResult ActiveStorageClient::submit(const ActiveRequest& request,
   const std::uint64_t halo_strips =
       required_halo_strips(offsets, meta.element_size, meta.strip_size);
 
-  // Executors hold per-start state, so every repeat pass gets a fresh
-  // instance; passes run back to back, chained through their completions.
-  DAS_REQUIRE(request.repeat_count >= 1);
-  auto run_pass = std::make_shared<std::function<void(std::uint32_t)>>();
-  *run_pass = [this, input = request.input, output = result.output,
-               data_mode = request.data_mode, &kernel, halo_strips,
-               offload = result.offloaded, repeats = request.repeat_count,
-               on_done = std::move(on_done), run_pass](std::uint32_t pass) {
-    std::function<void()> pass_done;
-    if (pass + 1 < repeats) {
-      pass_done = [run_pass, pass]() { (*run_pass)(pass + 1); };
-    } else {
-      pass_done = [run_pass, on_done]() {
-        if (on_done) on_done();
-        *run_pass = nullptr;  // release the self-reference
-      };
-    }
+  // Each repeat pass runs a fresh executor (see run_passes).
+  auto start_pass = [this, input = request.input, output = result.output,
+                     data_mode = request.data_mode, &kernel, halo_strips,
+                     offload = result.offloaded,
+                     on_pass = request.on_offload_pass](
+                        std::function<void()> pass_done) {
     if (offload) {
-      ActiveExecutor::Options opt;
-      opt.kernel = &kernel;
-      opt.halo_strips = halo_strips;
-      opt.data_mode = data_mode;
-      active_executors_.push_back(
-          std::make_unique<ActiveExecutor>(cluster_, opt));
-      last_active_ = active_executors_.back().get();
-      active_executors_.back()->start(input, output, std::move(pass_done));
+      active_executors_.push_back(std::make_unique<ActiveExecutor>(
+          cluster_,
+          ActiveExecutor::Options{&kernel, halo_strips, data_mode}));
+      ActiveExecutor* exec = active_executors_.back().get();
+      last_active_ = exec;
+      if (on_pass) {
+        pass_done = [on_pass, exec, pass_done = std::move(pass_done)]() {
+          on_pass(*exec);
+          pass_done();
+        };
+      }
+      exec->start(input, output, std::move(pass_done));
     } else {
-      TsExecutor::Options opt;
-      opt.kernel = &kernel;
-      opt.halo_strips = halo_strips;
-      opt.data_mode = data_mode;
-      ts_executors_.push_back(std::make_unique<TsExecutor>(cluster_, opt));
+      ts_executors_.push_back(std::make_unique<TsExecutor>(
+          cluster_, TsExecutor::Options{&kernel, halo_strips, data_mode}));
       last_active_ = nullptr;
       ts_executors_.back()->start(input, output, std::move(pass_done));
     }
   };
-  auto launch = [run_pass]() { (*run_pass)(0); };
+  auto launch = [passes = request.repeat_count, start_pass,
+                 on_done = std::move(on_done)]() {
+    run_passes(passes, start_pass, on_done);
+  };
 
   // Fig. 3, first steps: fetch the file's distribution information from the
   // metadata service (one round trip, cached per client), then either move
@@ -141,17 +141,15 @@ SubmissionResult ActiveStorageClient::submit(const ActiveRequest& request,
   if (result.redistributed) {
     result.redistribution_bytes = result.decision.redistribution_bytes;
   }
-  auto continuation = std::make_shared<decltype(launch)>(std::move(launch));
   cluster_.metadata_cache(0).lookup(
       request.input,
-      [this, continuation, redistribute = result.redistributed,
+      [this, launch, redistribute = result.redistributed,
        input = request.input,
        target = result.decision.target](pfs::FileInfo) {
         if (redistribute) {
-          cluster_.pfs().redistribute(input, target->make_layout(),
-                                      [continuation]() { (*continuation)(); });
+          cluster_.pfs().redistribute(input, target->make_layout(), launch);
         } else {
-          (*continuation)();
+          launch();
         }
       });
   return result;

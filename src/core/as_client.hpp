@@ -6,12 +6,14 @@
 // Features, predict the bandwidth cost under the file's current layout,
 // optionally re-lay-out the file (charging the redistribution traffic), and
 // then either offload the kernel to the storage servers or serve the request
-// as normal I/O on the compute nodes.
+// as normal I/O on the compute nodes. The static schemes (TS, NAS) use the
+// same path with their action fixed instead of decided.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -40,6 +42,13 @@ struct ActiveRequest {
   bool allow_redistribution = true;
   /// Carry real bytes end to end (correctness mode).
   bool data_mode = false;
+  /// Serve with this action instead of asking the decision engine: the
+  /// static schemes (TS always serves normally, NAS always offloads onto
+  /// the current layout). Redistribution cannot be forced.
+  std::optional<OffloadAction> action;
+  /// Called as each offloaded pass completes, before the next one starts
+  /// (online layout migration watches every pass's halo traffic).
+  std::function<void(const ActiveExecutor&)> on_offload_pass;
 };
 
 struct SubmissionResult {

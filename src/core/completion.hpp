@@ -70,4 +70,21 @@ inline BarrierPtr make_barrier(sim::InplaceFn<void()> on_done) {
   return fn ? sim::InplaceFn<void()>(std::move(fn)) : sim::InplaceFn<void()>();
 }
 
+/// Run `passes` back-to-back passes of one operation, then call `on_done`
+/// (may be empty). `start_pass` launches one pass and calls its argument
+/// when that pass completes; executors hold per-start state, so every pass
+/// builds a fresh one.
+inline void run_passes(std::uint32_t passes,
+                       std::function<void(std::function<void()>)> start_pass,
+                       std::function<void()> on_done) {
+  DAS_REQUIRE(passes >= 1);
+  if (passes == 1) {
+    start_pass(std::move(on_done));
+    return;
+  }
+  start_pass([passes, start_pass, on_done]() {
+    run_passes(passes - 1, start_pass, on_done);
+  });
+}
+
 }  // namespace das::core

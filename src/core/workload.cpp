@@ -79,9 +79,4 @@ grid::Grid<float> make_input(const WorkloadSpec& spec,
   return grid::generate_image(opt);
 }
 
-grid::Grid<float> make_reference_output(
-    const WorkloadSpec& spec, const kernels::ProcessingKernel& kernel) {
-  return kernel.run_reference(make_input(spec, kernel));
-}
-
 }  // namespace das::core

@@ -60,8 +60,4 @@ struct WorkloadSpec {
 [[nodiscard]] grid::Grid<float> make_input(
     const WorkloadSpec& spec, const kernels::ProcessingKernel& kernel);
 
-/// The expected (sequential-reference) output for verification.
-[[nodiscard]] grid::Grid<float> make_reference_output(
-    const WorkloadSpec& spec, const kernels::ProcessingKernel& kernel);
-
 }  // namespace das::core

@@ -101,19 +101,6 @@ TEST(WorkloadTest, SeedControlsTheData) {
   EXPECT_GT(grid::max_abs_diff(a, c), 0.0);
 }
 
-TEST(WorkloadTest, ReferenceOutputMatchesKernelReference) {
-  const auto registry = kernels::standard_registry();
-  WorkloadSpec spec;
-  spec.kernel_name = "gaussian-2d";
-  spec.strip_size = 64;
-  spec.element_size = 4;
-  spec.data_bytes = 32 * 64;
-  spec.with_data = true;
-  const auto kernel = registry.create("gaussian-2d");
-  EXPECT_EQ(make_reference_output(spec, *kernel),
-            kernel->run_reference(make_input(spec, *kernel)));
-}
-
 TEST(WorkloadTest, MisalignedRowStripGeometryThrowsWithNumbers) {
   const auto registry = kernels::standard_registry();
   WorkloadSpec spec;

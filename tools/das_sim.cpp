@@ -103,6 +103,7 @@
 #include <memory>
 #include <optional>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/audit.hpp"
@@ -173,6 +174,42 @@ das::core::ComputeCostModel parse_kernel_cost(const std::string& arg) {
     pos = comma + 1;
   }
   return model;
+}
+
+/// Throw unless `ok`, naming the flag and the value it was given.
+void check_flag(bool ok, const std::string& flag, std::int64_t value,
+                const char* rule) {
+  if (!ok) {
+    throw std::invalid_argument("--" + flag + "=" + std::to_string(value) +
+                                ": must be " + rule);
+  }
+}
+
+/// A count or size flag: negative values are rejected instead of wrapping.
+std::uint64_t get_unsigned(const das::runner::Args& args,
+                           const std::string& flag, std::int64_t fallback) {
+  const std::int64_t value = args.get_int(flag, fallback);
+  check_flag(value >= 0, flag, value, ">= 0");
+  return static_cast<std::uint64_t>(value);
+}
+
+/// The flag that sets a run option the driver's validate() rejected, so the
+/// error names what was typed; null for any other error.
+const char* flag_of_rejected_option(const std::string& message) {
+  static const std::pair<const char*, const char*> kFlags[] = {
+      {"workload.data_bytes=", "--gib"},
+      {"cluster.nic_bandwidth_bps=", "--nic-mibps"},
+      {"cluster.disk_bandwidth_bps=", "--disk-mibps"},
+      {"cluster.compute_rate_bps=", "--compute-mibps"},
+      {"cluster.job_startup=", "--startup-s"},
+      {"cluster.disk_jitter=", "--jitter-pct"},
+      {"cluster.pipeline_window=", "--window"},
+      {"pipeline_length=", "--pipeline"},
+      {"repeat_count=", "--repeats"}};
+  for (const auto& [option, flag] : kFlags) {
+    if (message.find(option) != std::string::npos) return flag;
+  }
+  return nullptr;
 }
 
 /// Canonical configuration string the session id is hashed from: every flag
@@ -269,15 +306,21 @@ int main(int argc, char** argv) {
 
     const auto schemes = parse_schemes(args.get("scheme", "all"));
     const auto kernels = parse_kernels(args.get("kernel", "flow-routing"));
-    const auto gib = static_cast<std::uint64_t>(args.get_int("gib", 24));
-    const auto nodes = static_cast<std::uint32_t>(args.get_int("nodes", 24));
-    const auto trials = static_cast<std::uint32_t>(args.get_int("trials", 1));
+    const std::uint64_t gib = get_unsigned(args, "gib", 24);
+    const auto nodes =
+        static_cast<std::uint32_t>(get_unsigned(args, "nodes", 24));
+    check_flag(nodes >= 2 && nodes % 2 == 0, "nodes", nodes,
+               "even and >= 2 (half storage, half compute nodes)");
+    const auto trials =
+        static_cast<std::uint32_t>(get_unsigned(args, "trials", 1));
+    check_flag(trials >= 1, "trials", trials, ">= 1");
     const bool csv = args.get_bool("csv", false);
 
     das::core::SchemeRunOptions base;
     base.workload.data_bytes = gib << 30;
-    base.workload.strip_size =
-        static_cast<std::uint64_t>(args.get_int("strip-kib", 1024)) << 10;
+    const std::int64_t strip_kib = args.get_int("strip-kib", 1024);
+    check_flag(strip_kib > 0, "strip-kib", strip_kib, "> 0");
+    base.workload.strip_size = static_cast<std::uint64_t>(strip_kib) << 10;
     base.workload.raster_width = static_cast<std::uint32_t>(
         base.workload.strip_size / base.workload.element_size - 1);
     base.cluster = das::runner::paper_cluster(nodes);
@@ -305,23 +348,21 @@ int main(int argc, char** argv) {
     base.cluster.disk_jitter =
         static_cast<double>(args.get_int("jitter-pct", 0)) / 100.0;
     base.cluster.straggler_count =
-        static_cast<std::uint32_t>(args.get_int("stragglers", 0));
+        static_cast<std::uint32_t>(get_unsigned(args, "stragglers", 0));
     base.cluster.straggler_slowdown =
         static_cast<double>(args.get_int("slowdown", 1));
-    base.distribution.group_size =
-        static_cast<std::uint64_t>(args.get_int("group", 16));
+    base.distribution.group_size = get_unsigned(args, "group", 16);
     base.distribution.max_capacity_overhead =
         static_cast<double>(args.get_int("budget-pct", 25)) / 100.0;
     base.pipeline_length =
-        static_cast<std::uint32_t>(args.get_int("pipeline", 1));
+        static_cast<std::uint32_t>(get_unsigned(args, "pipeline", 1));
     base.cluster.pipeline_window = static_cast<std::uint32_t>(
-        args.get_int("window", base.cluster.pipeline_window));
+        get_unsigned(args, "window", base.cluster.pipeline_window));
     base.pre_distributed = args.get_bool("pre-distributed", true);
     base.repeat_count =
-        static_cast<std::uint32_t>(args.get_int("repeats", 1));
+        static_cast<std::uint32_t>(get_unsigned(args, "repeats", 1));
     // Server-side strip cache: off unless a capacity is given.
-    const auto cache_mib =
-        static_cast<std::uint64_t>(args.get_int("cache-mib", 0));
+    const std::uint64_t cache_mib = get_unsigned(args, "cache-mib", 0);
     base.cluster.server_cache.enabled = cache_mib > 0;
     base.cluster.server_cache.capacity_bytes = cache_mib << 20;
     base.cluster.server_cache.policy = args.get("cache-policy", "lru");
@@ -329,7 +370,7 @@ int main(int argc, char** argv) {
     // PR-1 demand-fetch path bit for bit regardless of depth.
     const bool prefetch_on = args.get_bool("prefetch", true);
     const auto prefetch_depth =
-        static_cast<std::uint32_t>(args.get_int("prefetch-depth", 0));
+        static_cast<std::uint32_t>(get_unsigned(args, "prefetch-depth", 0));
     base.cluster.prefetch.enabled = prefetch_on && prefetch_depth > 0;
     base.cluster.prefetch.depth = prefetch_depth;
     if (base.cluster.prefetch.active() &&
@@ -364,14 +405,14 @@ int main(int argc, char** argv) {
         throw std::invalid_argument("unknown --log-level: " + level);
       }
     }
-    auto jobs = static_cast<unsigned>(args.get_int("jobs", 1));
+    auto jobs = static_cast<unsigned>(get_unsigned(args, "jobs", 1));
     if (jobs == 0) jobs = das::runner::default_jobs();
 
-    // Sparse list-I/O access (--access=strided:K|column|trace:FILE): the
-    // classic sweep serves it through run_list_scheme (TS fetches only the
-    // runs, other schemes price the list but sweep in full); traffic mode
+    // Sparse list-I/O access (--access=strided:K|column|trace:FILE): in the
+    // classic sweep a run option like any other (TS fetches only the runs,
+    // other schemes price the list but sweep in full); traffic mode
     // supports the strided pattern on every job's strip reads.
-    das::core::AccessSpec access;
+    das::core::AccessSpec& access = base.access;
     if (const std::string a = args.get("access", ""); !a.empty()) {
       access = das::core::AccessSpec::parse(a);
     }
@@ -381,24 +422,22 @@ int main(int argc, char** argv) {
     das::traffic::TrafficConfig traffic;
     traffic.cluster = base.cluster;
     traffic.arrivals.tenants =
-        static_cast<std::uint32_t>(args.get_int("tenants", 1));
+        static_cast<std::uint32_t>(get_unsigned(args, "tenants", 1));
     traffic.arrivals.jobs_per_tenant =
-        static_cast<std::uint32_t>(args.get_int("tenant-jobs", 8));
+        static_cast<std::uint32_t>(get_unsigned(args, "tenant-jobs", 8));
     traffic.arrivals.rate_hz = args.get_double("arrival-rate", 1.0);
-    traffic.arrivals.job_bytes =
-        static_cast<std::uint64_t>(args.get_int("job-mib", 16)) << 20;
+    traffic.arrivals.job_bytes = get_unsigned(args, "job-mib", 16) << 20;
     traffic.arrivals.strip_bytes = base.workload.strip_size;
     traffic.arrivals.datasets =
-        static_cast<std::uint32_t>(args.get_int("datasets", 1));
+        static_cast<std::uint32_t>(get_unsigned(args, "datasets", 1));
     traffic.arrivals.dataset_strips = std::max<std::uint64_t>(
         1, (gib << 30) / base.workload.strip_size /
                std::max(1u, traffic.arrivals.datasets));
     traffic.arrivals.seed = base.cluster.seed;
     traffic.trace_file = args.get("trace-file", "");
     traffic.replication =
-        static_cast<std::uint32_t>(args.get_int("replicas", 2));
-    const auto admission_mib =
-        static_cast<std::uint64_t>(args.get_int("admission-mib", 0));
+        static_cast<std::uint32_t>(get_unsigned(args, "replicas", 2));
+    const std::uint64_t admission_mib = get_unsigned(args, "admission-mib", 0);
     traffic.admission.enabled = admission_mib > 0;
     traffic.admission.capacity_bytes = admission_mib << 20;
     traffic.fair_queue = args.get_bool("fair-queue", false);
@@ -585,19 +624,6 @@ int main(int argc, char** argv) {
     std::vector<RunReport> reports(cells.size());
     das::runner::parallel_for_indexed(
         jobs, cells.size(), [&](std::size_t i) {
-          if (access.active()) {
-            das::core::ListRunOptions o;
-            o.scheme = cells[i].scheme;
-            o.workload = base.workload;
-            o.workload.kernel_name = cells[i].kernel;
-            o.access = access;
-            o.cluster = base.cluster;
-            o.cluster.seed = base.cluster.seed + cells[i].trial * 1000003;
-            o.distribution = base.distribution;
-            o.context = contexts[i].get();
-            reports[i] = das::core::run_list_scheme(o);
-            return;
-          }
           das::core::SchemeRunOptions o = base;
           o.scheme = cells[i].scheme;
           o.workload.kernel_name = cells[i].kernel;
@@ -692,7 +718,11 @@ int main(int argc, char** argv) {
     }
     return 0;
   } catch (const std::exception& error) {
-    std::cerr << "das_sim: " << error.what() << "\n";
+    std::cerr << "das_sim: " << error.what();
+    if (const char* flag = flag_of_rejected_option(error.what())) {
+      std::cerr << ", set by " << flag;
+    }
+    std::cerr << "\n";
     return 2;
   }
 }
