@@ -1,6 +1,8 @@
 #include "simkit/random.hpp"
 
+#include <bitset>
 #include <cmath>
+#include <cstddef>
 
 #include "simkit/assert.hpp"
 
@@ -17,6 +19,114 @@ std::uint64_t splitmix64(std::uint64_t& x) {
 
 constexpr std::uint64_t rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
+}
+
+using State = std::array<std::uint64_t, 4>;
+
+/// The xoshiro256 state transition (without the ** output scrambler).
+void step(State& s) {
+  const std::uint64_t t = s[1] << 17;
+  s[2] ^= s[0];
+  s[3] ^= s[1];
+  s[1] ^= s[2];
+  s[0] ^= s[3];
+  s[2] ^= t;
+  s[3] = rotl(s[3], 45);
+}
+
+// The transition T is linear over GF(2)^256, so n steps are p(T) with
+// p = x^n mod P, P being T's characteristic polynomial (degree 256 and
+// primitive: the generator has full period 2^256 - 1). P is found once, by
+// Berlekamp-Massey on the sequence of one state bit; a long discard then
+// applies the precomputed powers x^(2^k) mod P, one per set bit of n.
+
+/// Polynomial over GF(2) of degree < 256; bit i holds the x^i coefficient.
+using Poly = std::array<std::uint64_t, 4>;
+
+bool coefficient(const Poly& p, std::size_t i) {
+  return ((p[i / 64] >> (i % 64)) & 1U) != 0;
+}
+
+void add(Poly& acc, const Poly& p) {
+  for (std::size_t w = 0; w < 4; ++w) acc[w] ^= p[w];
+}
+
+/// x * p mod P, with `low` = P - x^256.
+Poly times_x(Poly p, const Poly& low) {
+  const bool carry = (p[3] >> 63) != 0;
+  for (std::size_t w = 3; w > 0; --w) p[w] = p[w] << 1 | p[w - 1] >> 63;
+  p[0] <<= 1;
+  if (carry) add(p, low);
+  return p;
+}
+
+Poly times_mod(const Poly& a, Poly b, const Poly& low) {
+  Poly acc{};
+  for (std::size_t i = 0; i < 256; ++i) {
+    if (coefficient(a, i)) add(acc, b);
+    b = times_x(b, low);
+  }
+  return acc;
+}
+
+/// Replace `s` by p(T) s: the state advanced by the steps `p` encodes.
+void jump(const Poly& p, State& s) {
+  State acc{};
+  for (std::size_t i = 0; i < 256; ++i) {
+    if (coefficient(p, i)) add(acc, s);
+    step(s);
+  }
+  s = acc;
+}
+
+/// x^(2^k) mod P for k = 0..63.
+const std::array<Poly, 64>& jump_powers() {
+  static const std::array<Poly, 64> powers = [] {
+    constexpr std::size_t kBits = 512;  // twice the degree of P
+    std::bitset<kBits> seq;
+    State s{1, 2, 3, 4};  // any state but all-zero
+    for (std::size_t t = 0; t < kBits; ++t) {
+      seq[t] = (s[0] & 1U) != 0;
+      step(s);
+    }
+    // Berlekamp-Massey: c is the shortest recurrence generating seq,
+    // seq[n] = sum of c[i] * seq[n - i] for i = 1..len.
+    std::bitset<kBits> c, b;
+    c[0] = b[0] = true;
+    std::size_t len = 0, m = 1;
+    for (std::size_t n = 0; n < kBits; ++n) {
+      bool discrepancy = seq[n];
+      for (std::size_t i = 1; i <= len; ++i) {
+        discrepancy = discrepancy != (c[i] && seq[n - i]);
+      }
+      if (!discrepancy) {
+        ++m;
+        continue;
+      }
+      const std::bitset<kBits> previous = c;
+      c ^= b << m;
+      if (2 * len <= n) {
+        len = n + 1 - len;
+        b = previous;
+        m = 1;
+      } else {
+        ++m;
+      }
+    }
+    DAS_REQUIRE(len == 256);
+    // P(x) = x^256 c(1/x): its x^k coefficient is c[256 - k].
+    Poly low{};
+    for (std::size_t k = 0; k < 256; ++k) {
+      if (c[256 - k]) low[k / 64] |= std::uint64_t{1} << (k % 64);
+    }
+    std::array<Poly, 64> table{};
+    table[0] = Poly{2, 0, 0, 0};  // x
+    for (std::size_t k = 1; k < 64; ++k) {
+      table[k] = times_mod(table[k - 1], table[k - 1], low);
+    }
+    return table;
+  }();
+  return powers;
 }
 
 // FNV-1a over the substream name, mixed into the fork seed.
@@ -44,14 +154,17 @@ Rng Rng::fork(std::string_view name) const {
 
 std::uint64_t Rng::next_u64() {
   const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
+  step(state_);
   return result;
+}
+
+void Rng::discard(std::uint64_t n) {
+  // A jump costs about 512 steps, so only bits worth 1024 or more jump.
+  constexpr std::size_t kFirstJumpBit = 10;
+  for (std::size_t k = kFirstJumpBit; k < 64; ++k) {
+    if (((n >> k) & 1U) != 0) jump(jump_powers()[k], state_);
+  }
+  for (n &= (std::uint64_t{1} << kFirstJumpBit) - 1; n > 0; --n) step(state_);
 }
 
 double Rng::next_double() {

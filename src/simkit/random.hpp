@@ -25,6 +25,11 @@ class Rng {
   /// Next raw 64-bit value.
   std::uint64_t next_u64();
 
+  /// Advance the stream past `n` draws, like the std:: engines' discard:
+  /// equivalent to `n` next_u64() calls. A cached Box-Muller spare is left
+  /// untouched, so the next normal() still returns it.
+  void discard(std::uint64_t n);
+
   /// UniformRandomBitGenerator interface.
   std::uint64_t operator()() { return next_u64(); }
   static constexpr std::uint64_t min() { return 0; }

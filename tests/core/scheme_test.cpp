@@ -64,6 +64,39 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
+// One-row and one-column rasters: a single 16-cell row in one 64 B strip,
+// and sixteen 1-cell rows in 4 B strips. The terrain kernels' DEM input
+// must be generated for both, like the filters' image input.
+class SchemeThinRasterTest
+    : public ::testing::TestWithParam<
+          std::tuple<Scheme, std::string, std::uint64_t>> {};
+
+TEST_P(SchemeThinRasterTest, OutputMatchesSequentialReference) {
+  const auto& [scheme, kernel, strip_size] = GetParam();
+  SchemeRunOptions o = data_options(scheme, kernel);
+  o.workload.strip_size = strip_size;
+  o.workload.data_bytes = 64;
+  const RunReport report = run_scheme(o);
+  EXPECT_TRUE(report.output_verified)
+      << "max error " << report.output_max_error;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    OneRowOrColumn, SchemeThinRasterTest,
+    ::testing::Combine(
+        ::testing::Values(Scheme::kTS, Scheme::kNAS, Scheme::kDAS),
+        ::testing::Values("flow-routing", "surface-slope"),
+        ::testing::Values(std::uint64_t{64}, std::uint64_t{4})),
+    [](const auto& info) {
+      std::string name = std::string(to_string(std::get<0>(info.param))) +
+                         "_" + std::get<1>(info.param) +
+                         (std::get<2>(info.param) == 64 ? "_16x1" : "_1x16");
+      for (auto& c : name) {
+        if (c == '-') c = '_';
+      }
+      return name;
+    });
+
 TEST(SchemeTrafficTest, TsUsesOnlyClientServerLinks) {
   const RunReport r = run_scheme(data_options(Scheme::kTS, "flow-routing"));
   EXPECT_GT(r.client_server_bytes, 0U);

@@ -77,6 +77,52 @@ TEST(RngTest, UniformRealBounds) {
   }
 }
 
+TEST(RngTest, DiscardEqualsThatManyDraws) {
+  for (const std::uint64_t n : {0ULL, 1ULL, 2ULL, 1000ULL, 1ULL << 20}) {
+    SCOPED_TRACE(n);
+    Rng skipped(77), drawn(77);
+    skipped.discard(n);
+    for (std::uint64_t i = 0; i < n; ++i) drawn.next_u64();
+    EXPECT_EQ(skipped.next_u64(), drawn.next_u64());
+  }
+}
+
+TEST(RngTest, DiscardOfLongRunsMatchesDrawing) {
+  // Lengths whose high bits are skipped by jumps and low bits by steps.
+  for (const std::uint64_t n :
+       {1023ULL, 1024ULL, 1025ULL, 4097ULL, (3ULL << 20) + 12345}) {
+    SCOPED_TRACE(n);
+    Rng skipped(3), drawn(3);
+    skipped.discard(n);
+    for (std::uint64_t i = 0; i < n; ++i) drawn.next_u64();
+    EXPECT_EQ(skipped.next_u64(), drawn.next_u64());
+  }
+}
+
+TEST(RngTest, DiscardsCompose) {
+  // Beyond what a test can draw: skips add up, in either order.
+  const std::uint64_t a = (1ULL << 40) + 999, b = (1ULL << 61) + (1ULL << 33);
+  Rng ab(9), ba(9), sum(9);
+  ab.discard(a);
+  ab.discard(b);
+  ba.discard(b);
+  ba.discard(a);
+  sum.discard(a + b);
+  const std::uint64_t v = sum.next_u64();
+  EXPECT_EQ(ab.next_u64(), v);
+  EXPECT_EQ(ba.next_u64(), v);
+}
+
+TEST(RngTest, DiscardKeepsTheCachedNormalSpare) {
+  Rng skipped(5), drawn(5);
+  skipped.normal();
+  drawn.normal();
+  skipped.discard(3);
+  for (int i = 0; i < 3; ++i) drawn.next_u64();
+  EXPECT_EQ(skipped.normal(), drawn.normal());  // the spare
+  EXPECT_EQ(skipped.normal(), drawn.normal());  // a fresh pair
+}
+
 TEST(RngTest, BernoulliExtremes) {
   Rng rng(5);
   for (int i = 0; i < 100; ++i) {
