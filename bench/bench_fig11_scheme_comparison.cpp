@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
         vs_ts > 0.30});
     checks.push_back(das::runner::ShapeCheck{
         "DAS improvement over NAS, " + kernel, "over 60%", vs_nas,
-        vs_nas > 0.55});
+        vs_nas > 0.60});
   }
 
   return bench::finish(argc, argv, cells, checks);

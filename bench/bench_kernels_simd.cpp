@@ -1,10 +1,11 @@
 // Wall-clock microbench for the vectorized kernel engine.
 //
 // Measures cells/sec for each of the five stencil kernels under every ISA
-// this CPU can run (scalar -> SSE2 -> AVX2), plus cache-blocked vs
-// unblocked sweeps on a wide raster whose row panels outgrow L2. Before
-// timing, every ISA's output is checksummed against the scalar sweep —
-// the engine's bit-identity contract — and any mismatch fails the run.
+// this CPU can run (scalar -> SSE2 -> AVX2), plus the widest ISA's rate on
+// a wide raster whose rows outgrow L2 (DESIGN §14 accounts for the gap).
+// Before timing, every ISA's output is checksummed against the scalar
+// sweep — the engine's bit-identity contract — and any mismatch fails the
+// run.
 //
 // Deliberately not a google-benchmark binary: it emits one JSON document
 // (BENCH_kernels.json by default) that CI uploads as an artifact, and it is
@@ -15,7 +16,7 @@
 //
 // Usage: bench_kernels_simd [--width=1024] [--height=512] [--repeats=5]
 //                           [--wide-width=1048576] [--wide-height=8]
-//                           [--block-cols=16384] [--out=BENCH_kernels.json]
+//                           [--out=BENCH_kernels.json]
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -89,8 +90,7 @@ struct IsaResult {
 struct KernelResult {
   std::string name;
   std::vector<IsaResult> isas;  // index 0 is always scalar
-  double blocked_cells_per_sec = 0.0;
-  double unblocked_cells_per_sec = 0.0;
+  double wide_cells_per_sec = 0.0;
 
   [[nodiscard]] double speedup(simd::Isa isa) const {
     for (const IsaResult& r : isas) {
@@ -116,8 +116,6 @@ int main(int argc, char** argv) {
       static_cast<std::uint32_t>(args.get_int("wide-width", 1048576));
   const auto wide_height =
       static_cast<std::uint32_t>(args.get_int("wide-height", 8));
-  const auto block_cols = static_cast<std::uint32_t>(
-      args.get_int("block-cols", simd::kDefaultBlockCols));
   const std::string out_path = args.get("out", "BENCH_kernels.json");
   if (const std::string u = args.unused(); !u.empty()) {
     std::fprintf(stderr, "unknown flags: %s\n", u.c_str());
@@ -166,20 +164,14 @@ int main(int argc, char** argv) {
       result.isas.push_back(r);
     }
 
-    // Blocked vs unblocked on the wide raster, widest ISA. The reduction
-    // has no 3-row interior sweep, so the comparison is stencils-only.
-    // Full `repeats` here too: the first sweeps after a fresh 32 MiB
-    // allocation pay one-off page-fault costs, and best-of needs enough
-    // later runs to see the warm steady state.
+    // The wide raster, widest ISA. The reduction has no 3-row interior
+    // sweep, so this is stencils-only. Full `repeats` here too: the first
+    // sweeps after a fresh 32 MiB allocation pay one-off page-fault costs,
+    // and best-of needs enough later runs to see the warm steady state.
     if (std::string(name) != "raster-statistics") {
       simd::set_isa_override(isas.back());
-      simd::set_block_cols(block_cols);
-      result.blocked_cells_per_sec =
+      result.wide_cells_per_sec =
           wide_cells / best_seconds(*kernel, wide, repeats);
-      simd::set_block_cols(0);
-      result.unblocked_cells_per_sec =
-          wide_cells / best_seconds(*kernel, wide, repeats);
-      simd::set_block_cols(simd::kDefaultBlockCols);
     }
     simd::set_isa_override(std::nullopt);
     results.push_back(result);
@@ -205,12 +197,10 @@ int main(int argc, char** argv) {
                     simd::to_string(r.isa), r.cells_per_sec);
       json += buf;
     }
-    char buf[192];
+    char buf[128];
     std::snprintf(buf, sizeof(buf),
-                  "\"simd_speedup\": %.2f, \"blocked_cells_per_sec\": %.3e, "
-                  "\"unblocked_cells_per_sec\": %.3e}",
-                  k.speedup(isas.back()), k.blocked_cells_per_sec,
-                  k.unblocked_cells_per_sec);
+                  "\"simd_speedup\": %.2f, \"wide_cells_per_sec\": %.3e}",
+                  k.speedup(isas.back()), k.wide_cells_per_sec);
     json += buf;
     json += i + 1 < results.size() ? ",\n" : "\n";
   }

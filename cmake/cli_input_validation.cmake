@@ -11,7 +11,9 @@ endif()
 
 set(base --kernel=gaussian-2d --gib=1 --nodes=8)
 
-# Rows: "<scheme>|<flag>|<text stderr must contain>".
+# Rows: "<scheme>|<flags, space-separated>|<text stderr must contain>".
+# --tenants=2 rows run traffic mode (src/traffic/), which checks its own
+# options before building anything.
 set(cases
   "TS|--nodes=1|--nodes=1"
   "TS|--nodes=3|--nodes=3"
@@ -23,16 +25,27 @@ set(cases
   "TS|--strip-kib=0|--strip-kib=0"
   "TS|--trials=0|--trials=0"
   "TS|--cache-mib=-5|--cache-mib=-5"
-  "TS|--disk-mibps=0|set by --disk-mibps")
+  "TS|--disk-mibps=0|set by --disk-mibps"
+  "TS|--stragglers=5|cluster.straggler_count=5 (must be <= 4, the storage node count), set by --stragglers"
+  "TS|--stragglers=1 --slowdown=0|cluster.straggler_slowdown=0 (must be >= 1), set by --slowdown"
+  "TS|--tenants=2 --stragglers=5|cluster.straggler_count=5 (must be <= 4, the storage node count), set by --stragglers"
+  "TS|--tenants=2 --stragglers=1 --slowdown=0|cluster.straggler_slowdown=0 (must be >= 1), set by --slowdown"
+  "TS|--tenants=2 --arrival-rate=0|arrivals.rate_hz=0 (must be > 0), set by --arrival-rate"
+  "TS|--tenants=2 --job-mib=0|arrivals.job_bytes=0 (must be > 0), set by --job-mib"
+  "TS|--tenants=2 --datasets=0|arrivals.datasets=0 (must be > 0), set by --datasets"
+  "TS|--tenants=2 --job-mib=2048|arrivals.job_bytes=2147483648 (must be <= 1073741824, one dataset's bytes), set by --job-mib"
+  "TS|--tenants=2 --fair-queue=on --weights=0,0|weights=0 (must be > 0), set by --weights"
+  "TS|--tenants=2 --weights=abc|--weights=abc: must be comma-separated numbers")
 
 set(failures "")
 foreach(row IN LISTS cases)
   string(REPLACE "|" ";" fields "${row}")
   list(GET fields 0 scheme)
-  list(GET fields 1 flag)
+  list(GET fields 1 flags)
   list(GET fields 2 expected)
+  separate_arguments(flag_args UNIX_COMMAND "${flags}")
   execute_process(
-    COMMAND ${DAS_SIM} --scheme=${scheme} ${base} ${flag}
+    COMMAND ${DAS_SIM} --scheme=${scheme} ${base} ${flag_args}
     OUTPUT_QUIET
     ERROR_VARIABLE err
     RESULT_VARIABLE rc
@@ -40,9 +53,9 @@ foreach(row IN LISTS cases)
   string(FIND "${err}" "${expected}" at)
   if(NOT rc STREQUAL "2" OR at EQUAL -1)
     string(APPEND failures
-      "  --scheme=${scheme} ${flag}: exit ${rc}, stderr: ${err}\n")
+      "  --scheme=${scheme} ${flags}: exit ${rc}, stderr: ${err}\n")
   else()
-    message(STATUS "${flag}: exit 2, names ${expected}")
+    message(STATUS "${flags}: exit 2, names ${expected}")
   endif()
 endforeach()
 

@@ -7,6 +7,16 @@
 
 namespace das::core {
 
+void check_cluster(const ClusterConfig& config) {
+  require_option(config.straggler_count <= config.storage_nodes,
+                 "cluster.straggler_count", config.straggler_count,
+                 "<= " + std::to_string(config.storage_nodes) +
+                     ", the storage node count");
+  require_option(config.straggler_slowdown >= 1.0,
+                 "cluster.straggler_slowdown", config.straggler_slowdown,
+                 ">= 1");
+}
+
 Cluster::Cluster(const ClusterConfig& config, sim::RunContext* context)
     : config_(config) {
   DAS_REQUIRE(config.storage_nodes > 0);

@@ -5,6 +5,9 @@
 #pragma once
 
 #include <memory>
+#include <sstream>
+#include <stdexcept>
+#include <string_view>
 #include <vector>
 
 #include "core/config.hpp"
@@ -16,6 +19,25 @@
 #include "storage/compute_engine.hpp"
 
 namespace das::core {
+
+/// Throw std::invalid_argument naming `field` and its value unless `ok`:
+/// "invalid run option <field>=<value> (must be <rule>)". Run entry points
+/// check their options this way before building anything, so a bad value
+/// is reported by name instead of aborting deep inside the library.
+template <typename T>
+void require_option(bool ok, const char* field, const T& value,
+                    std::string_view rule) {
+  if (ok) return;
+  std::ostringstream message;
+  message << "invalid run option " << field << '=' << value << " (must be "
+          << rule << ')';
+  throw std::invalid_argument(message.str());
+}
+
+/// Reject, with require_option, the straggler settings the Cluster
+/// constructor would abort on. The run driver and run_traffic both call it
+/// before building a cluster.
+void check_cluster(const ClusterConfig& config);
 
 class Cluster {
  public:

@@ -5,8 +5,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <sstream>
-#include <stdexcept>
 #include <utility>
 
 #include "cache/strip_cache.hpp"
@@ -83,24 +81,23 @@ struct Stage {
   SubmissionResult submission;
 };
 
-/// Throw std::invalid_argument naming `field` and its value unless `ok`.
-template <typename T>
-void require(bool ok, const char* field, const T& value, const char* rule) {
-  if (ok) return;
-  std::ostringstream message;
-  message << "invalid run option " << field << '=' << value << " (must be "
-          << rule << ')';
-  throw std::invalid_argument(message.str());
-}
-
 /// Reject every value the run would otherwise abort, hang or divide by zero
 /// on deep inside the library.
 void validate(const SchemeRunOptions& o, const std::vector<Stage>& stages) {
-  require(!stages.empty(), "kernel_chain.size", stages.size(), ">= 1");
+  require_option(!stages.empty(), "kernel_chain.size", stages.size(), ">= 1");
   for (std::size_t i = 0; i + 1 < stages.size(); ++i) {
     // A reduction has no raster output to feed a successor.
-    require(!stages[i].kernel->is_reduction(), "kernel_chain",
-            stages[i].kernel->name(), "the last stage, being a reduction");
+    require_option(!stages[i].kernel->is_reduction(), "kernel_chain",
+                   stages[i].kernel->name(),
+                   "the last stage, being a reduction");
+  }
+  if (o.workload.with_data) {
+    // The executors carry no real bytes for a reduction's partial results.
+    for (const Stage& stage : stages) {
+      require_option(!stage.kernel->is_reduction(), "kernel_chain",
+                     stage.kernel->name(),
+                     "raster kernels only when workload.with_data is set");
+    }
   }
   const WorkloadSpec& w = o.workload;
   const ClusterConfig& c = o.cluster;
@@ -117,16 +114,18 @@ void validate(const SchemeRunOptions& o, const std::vector<Stage>& stages) {
       {"pipeline_length", o.pipeline_length},
       {"repeat_count", o.repeat_count}};
   for (const auto& [field, value] : positive) {
-    require(value > 0.0, field, value, "> 0");
+    require_option(value > 0.0, field, value, "> 0");
   }
-  require(c.job_startup >= 0, "cluster.job_startup", c.job_startup, ">= 0");
-  require(c.disk_jitter >= 0.0 && c.disk_jitter < 1.0, "cluster.disk_jitter",
-          c.disk_jitter, "in [0, 1)");
+  require_option(c.job_startup >= 0, "cluster.job_startup", c.job_startup,
+                 ">= 0");
+  require_option(c.disk_jitter >= 0.0 && c.disk_jitter < 1.0,
+                 "cluster.disk_jitter", c.disk_jitter, "in [0, 1)");
+  check_cluster(c);
   if (stages.size() > 1) {
-    require(!o.access.active(), "access", o.access.label(),
-            "unset on a chain of stages");
-    require(!o.migration.active(), "migration.enabled", o.migration.enabled,
-            "unset on a chain of stages");
+    require_option(!o.access.active(), "access", o.access.label(),
+                   "unset on a chain of stages");
+    require_option(!o.migration.active(), "migration.enabled",
+                   o.migration.enabled, "unset on a chain of stages");
   }
 }
 
@@ -385,8 +384,8 @@ std::vector<RunReport> drive(const SchemeRunOptions& options,
     const std::uint32_t halo_rows = halo_rows_for(meta, offsets);
     const pfs::RegionList regions =
         build_access_regions(meta, options.access, halo_rows);
-    require(!regions.empty(), "access", options.access.label(),
-            "a pattern that selects at least one run");
+    require_option(!regions.empty(), "access", options.access.label(),
+                   "a pattern that selects at least one run");
     const std::uint64_t full_output = first.output_bytes(meta.size_bytes);
     list_note = decide_list_access(
                     meta, offsets,

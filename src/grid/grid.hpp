@@ -5,18 +5,12 @@
 // is stored as its row-major element stream, so "row width" and "strip size"
 // interact exactly as in the paper's Figs. 4-7.
 //
-// Storage is 64-byte aligned (one cache line, one AVX-512 vector) so the
-// SIMD kernel paths never straddle a line at row starts, and a grid can
-// optionally be allocated with a padded row stride — rows then begin at
-// aligned addresses even when the logical width is odd. Padded grids keep
-// the same logical contents; only the linear views (data(), operator[])
-// are restricted to contiguous grids, because the element stream of a
-// padded grid is not the file's element stream.
+// Storage is 64-byte aligned (one cache line, one AVX-512 vector), so a
+// grid's first row never straddles a line.
 #pragma once
 
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <new>
 #include <vector>
 
@@ -61,35 +55,12 @@ class Grid {
   Grid(std::uint32_t width, std::uint32_t height, T fill_value = T{})
       : width_(width),
         height_(height),
-        stride_(width),
         cells_(static_cast<std::size_t>(width) * height, fill_value) {
     DAS_REQUIRE(width > 0 && height > 0);
   }
 
-  /// Grid whose row stride is padded up to a kGridAlignment boundary, so
-  /// every row starts 64-byte aligned. Logical contents are identical to
-  /// the contiguous layout; linear element access is unavailable.
-  [[nodiscard]] static Grid padded(std::uint32_t width, std::uint32_t height,
-                                   T fill_value = T{}) {
-    DAS_REQUIRE(width > 0 && height > 0);
-    constexpr std::uint32_t kLane =
-        static_cast<std::uint32_t>(kGridAlignment / sizeof(T));
-    Grid g;
-    g.width_ = width;
-    g.height_ = height;
-    g.stride_ = (width + kLane - 1) / kLane * kLane;
-    g.cells_.assign(static_cast<std::size_t>(g.stride_) * height, fill_value);
-    return g;
-  }
-
   [[nodiscard]] std::uint32_t width() const { return width_; }
   [[nodiscard]] std::uint32_t height() const { return height_; }
-  /// Elements between consecutive row starts (>= width()).
-  [[nodiscard]] std::uint32_t stride() const { return stride_; }
-  /// True when the element stream is dense row-major (stride == width);
-  /// only then do the linear views below exist.
-  [[nodiscard]] bool contiguous() const { return stride_ == width_; }
-  /// Logical element count (padding excluded).
   [[nodiscard]] std::size_t size() const {
     return static_cast<std::size_t>(width_) * height_;
   }
@@ -102,42 +73,33 @@ class Grid {
 
   [[nodiscard]] T& at(std::uint32_t x, std::uint32_t y) {
     DAS_ASSERT(in_bounds(x, y));
-    return cells_[static_cast<std::size_t>(y) * stride_ + x];
+    return cells_[static_cast<std::size_t>(y) * width_ + x];
   }
   [[nodiscard]] const T& at(std::uint32_t x, std::uint32_t y) const {
     DAS_ASSERT(in_bounds(x, y));
-    return cells_[static_cast<std::size_t>(y) * stride_ + x];
+    return cells_[static_cast<std::size_t>(y) * width_ + x];
   }
 
-  /// Linear (row-major) element access; index < size(). Contiguous grids
-  /// only — a padded grid's element stream would include the padding.
+  /// Linear (row-major) element access; index < size().
   [[nodiscard]] T& operator[](std::size_t i) {
-    DAS_ASSERT(contiguous());
     DAS_ASSERT(i < cells_.size());
     return cells_[i];
   }
   [[nodiscard]] const T& operator[](std::size_t i) const {
-    DAS_ASSERT(contiguous());
     DAS_ASSERT(i < cells_.size());
     return cells_[i];
   }
 
-  [[nodiscard]] T* data() {
-    DAS_ASSERT(contiguous());
-    return cells_.data();
-  }
-  [[nodiscard]] const T* data() const {
-    DAS_ASSERT(contiguous());
-    return cells_.data();
-  }
+  [[nodiscard]] T* data() { return cells_.data(); }
+  [[nodiscard]] const T* data() const { return cells_.data(); }
 
   [[nodiscard]] T* row(std::uint32_t y) {
     DAS_ASSERT(y < height_);
-    return cells_.data() + static_cast<std::size_t>(y) * stride_;
+    return cells_.data() + static_cast<std::size_t>(y) * width_;
   }
   [[nodiscard]] const T* row(std::uint32_t y) const {
     DAS_ASSERT(y < height_);
-    return cells_.data() + static_cast<std::size_t>(y) * stride_;
+    return cells_.data() + static_cast<std::size_t>(y) * width_;
   }
 
   void fill(T value) { cells_.assign(cells_.size(), value); }
@@ -167,23 +129,15 @@ class Grid {
     }
   }
 
-  /// Logical equality: shape and per-row contents (padding never compared,
-  /// so a padded grid equals its contiguous twin).
+  /// Equality: shape and contents.
   friend bool operator==(const Grid& a, const Grid& b) {
-    if (a.width_ != b.width_ || a.height_ != b.height_) return false;
-    if (a.stride_ == b.stride_) return a.cells_ == b.cells_;
-    for (std::uint32_t y = 0; y < a.height_; ++y) {
-      if (std::memcmp(a.row(y), b.row(y), a.width_ * sizeof(T)) != 0) {
-        return false;
-      }
-    }
-    return true;
+    return a.width_ == b.width_ && a.height_ == b.height_ &&
+           a.cells_ == b.cells_;
   }
 
  private:
   std::uint32_t width_ = 0;
   std::uint32_t height_ = 0;
-  std::uint32_t stride_ = 0;
   std::vector<T, GridAllocator<T>> cells_;
 };
 

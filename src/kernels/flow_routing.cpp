@@ -74,9 +74,9 @@ void FlowRoutingKernel::run_tile(const grid::Grid<float>& buffer,
   // unrolls the scan in the same E, SE, S, SW, W, NW, N, NE order with the
   // same strict `<` per lane, keeping tie-breaks (and outputs) identical to
   // route_cell on every ISA.
-  simd::run_tile_blocked(view, grid_height, out_row_begin, out_row_end, out,
-                         edge_cell,
-                         simd::flow_routing_row(simd::active_isa()));
+  simd::sweep_tile(view, grid_height, out_row_begin, out_row_end, out,
+                   edge_cell,
+                   simd::row_kernels(simd::active_isa()).flow_routing);
 }
 
 }  // namespace das::kernels

@@ -50,8 +50,8 @@ void GaussianKernel::run_tile(const grid::Grid<float>& buffer,
   // Cells whose full window is in the grid take the dispatched branch-free
   // sweep, which accumulates in the same (dy, dx) order as the clamped path
   // on every ISA, so outputs are bit-identical.
-  simd::run_tile_blocked(view, grid_height, out_row_begin, out_row_end, out,
-                         edge_cell, simd::gaussian_row(simd::active_isa()));
+  simd::sweep_tile(view, grid_height, out_row_begin, out_row_end, out,
+                   edge_cell, simd::row_kernels(simd::active_isa()).gaussian);
 }
 
 }  // namespace das::kernels

@@ -45,8 +45,8 @@ void LaplacianKernel::run_tile(const grid::Grid<float>& buffer,
   // Interior cells go through the dispatched row-segment sweep (AVX2 ->
   // SSE2 -> scalar), which sums in the same left, right, up, down order as
   // the clamped path on every ISA, so outputs are bit-identical.
-  simd::run_tile_blocked(view, grid_height, out_row_begin, out_row_end, out,
-                         edge_cell, simd::laplacian_row(simd::active_isa()));
+  simd::sweep_tile(view, grid_height, out_row_begin, out_row_end, out,
+                   edge_cell, simd::row_kernels(simd::active_isa()).laplacian);
 }
 
 }  // namespace das::kernels

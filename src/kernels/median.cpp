@@ -53,8 +53,8 @@ void MedianKernel::run_tile(const grid::Grid<float>& buffer,
   // selects the median with a fixed min/max sorting network, which yields
   // the same value as nth_element for any 9-element multiset, so outputs
   // are bit-identical.
-  simd::run_tile_blocked(view, grid_height, out_row_begin, out_row_end, out,
-                         edge_cell, simd::median_row(simd::active_isa()));
+  simd::sweep_tile(view, grid_height, out_row_begin, out_row_end, out,
+                   edge_cell, simd::row_kernels(simd::active_isa()).median);
 }
 
 }  // namespace das::kernels

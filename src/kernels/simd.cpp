@@ -1,4 +1,4 @@
-// Runtime ISA detection, override plumbing and the dispatch tables.
+// Runtime ISA detection, override plumbing and the dispatch table.
 #include "kernels/simd.hpp"
 
 #include <atomic>
@@ -25,7 +25,6 @@ Isa probe_isa() { return Isa::kScalar; }
 // the enum range.
 constexpr std::uint8_t kNoOverride = 0xFF;
 std::atomic<std::uint8_t> g_override{kNoOverride};
-std::atomic<std::uint32_t> g_block_cols{kDefaultBlockCols};
 
 }  // namespace
 
@@ -77,66 +76,10 @@ std::optional<Isa> isa_override() {
   return static_cast<Isa>(over);
 }
 
-std::uint32_t block_cols() {
-  return g_block_cols.load(std::memory_order_relaxed);
-}
-
-void set_block_cols(std::uint32_t cols) {
-  g_block_cols.store(cols, std::memory_order_relaxed);
-}
-
-Stencil3RowFn laplacian_row(Isa isa) {
-  switch (isa) {
-    case Isa::kAvx2: return detail::laplacian_row_avx2;
-    case Isa::kSse2: return detail::laplacian_row_sse2;
-    case Isa::kScalar: break;
-  }
-  return detail::laplacian_row_scalar;
-}
-
-Stencil3RowFn gaussian_row(Isa isa) {
-  switch (isa) {
-    case Isa::kAvx2: return detail::gaussian_row_avx2;
-    case Isa::kSse2: return detail::gaussian_row_sse2;
-    case Isa::kScalar: break;
-  }
-  return detail::gaussian_row_scalar;
-}
-
-Stencil3RowFn median_row(Isa isa) {
-  switch (isa) {
-    case Isa::kAvx2: return detail::median_row_avx2;
-    case Isa::kSse2: return detail::median_row_sse2;
-    case Isa::kScalar: break;
-  }
-  return detail::median_row_scalar;
-}
-
-Stencil3RowFn flow_routing_row(Isa isa) {
-  switch (isa) {
-    case Isa::kAvx2: return detail::flow_routing_row_avx2;
-    case Isa::kSse2: return detail::flow_routing_row_sse2;
-    case Isa::kScalar: break;
-  }
-  return detail::flow_routing_row_scalar;
-}
-
-SlopeRowFn slope_row(Isa isa) {
-  switch (isa) {
-    case Isa::kAvx2: return detail::slope_row_avx2;
-    case Isa::kSse2: return detail::slope_row_sse2;
-    case Isa::kScalar: break;
-  }
-  return detail::slope_row_scalar;
-}
-
-StatsRowFn statistics_row(Isa isa) {
-  switch (isa) {
-    case Isa::kAvx2: return detail::statistics_row_avx2;
-    case Isa::kSse2: return detail::statistics_row_sse2;
-    case Isa::kScalar: break;
-  }
-  return detail::statistics_row_scalar;
+const RowKernels& row_kernels(Isa isa) {
+  if (isa == Isa::kAvx2) return detail::avx2_row_kernels();
+  if (isa == Isa::kSse2) return detail::sse2_row_kernels();
+  return detail::scalar_row_kernels();
 }
 
 }  // namespace das::kernels::simd

@@ -1,24 +1,19 @@
-// Vectorized kernel engine: runtime ISA dispatch + cache-blocked tiling.
+// Vectorized kernel engine: runtime ISA dispatch + the stencil tile sweep.
 //
 // The five stencil kernels (laplacian, gaussian, slope, median, statistics)
 // formulate their hot loop as a *row-segment function*: compute output cells
 // x in [x0, x1) of one interior row, given raw pointers to the three input
-// rows. Per ISA (AVX2 -> SSE2 -> scalar) there is one such function per
-// kernel; the widest ISA the CPU supports is selected once at startup via
+// rows. Per ISA (AVX2 -> SSE2 -> scalar) there is one table of such
+// functions; the widest ISA the CPU supports is selected once at startup via
 // CPUID and can be narrowed with set_isa_override (the das_sim --kernel-isa
 // flag). Every vector lane evaluates the *same arithmetic expression in the
 // same operand order* as the scalar path for its own cell — lanes are
 // independent output cells, never partial sums — so SIMD, SSE2 and scalar
 // outputs are bit-identical, and with them every scheme CSV and trace.
 //
-// run_tile_blocked drives the sweep: boundary rows and the two edge columns
-// go through the kernel's clamped per-cell path; interior cells are walked
-// in column strips sized so three input row panels plus the output panel
-// stay L2-resident (a 256 KiB budget). Within a strip the y-loop advances
-// over all rows before the next strip starts, so each input panel is loaded
-// from memory once instead of three times on rasters whose rows outgrow the
-// cache. Cells are written exactly once whatever the strip width, so
-// blocked and unblocked sweeps are bit-identical too.
+// sweep_tile drives a tile: boundary rows and the two edge columns go
+// through the kernel's clamped per-cell path; every interior row is swept
+// whole by the dispatched row function.
 #pragma once
 
 #include <algorithm>
@@ -52,8 +47,8 @@ void set_isa_override(std::optional<Isa> isa);
 // ---------------------------------------------------------------------------
 // Row-segment functions. `up` / `mid` / `down` point at logical rows
 // y-1 / y / y+1 (never clamped: callers only invoke these on interior rows),
-// `dst` at the output row; all four may be offset into padded-stride
-// storage. [x0, x1) is an interior column range (x0 >= 1, x1 <= width - 1).
+// `dst` at the output row. [x0, x1) is an interior column range (x0 >= 1,
+// x1 <= width - 1).
 
 using Stencil3RowFn = void (*)(const float* up, const float* mid,
                                const float* down, float* dst,
@@ -72,24 +67,24 @@ using StatsRowFn = void (*)(const float* row, std::uint32_t n,
                             std::uint64_t& count, float& min, float& max,
                             double& sum, double& sum_squares);
 
-[[nodiscard]] Stencil3RowFn laplacian_row(Isa isa);
-[[nodiscard]] Stencil3RowFn gaussian_row(Isa isa);
-[[nodiscard]] Stencil3RowFn median_row(Isa isa);
-/// D8 flow routing: 8-way strict-less argmax with first-wins tie-breaking
-/// (E, SE, S, SW, W, NW, N, NE scan order preserved lane-wise).
-[[nodiscard]] Stencil3RowFn flow_routing_row(Isa isa);
-[[nodiscard]] SlopeRowFn slope_row(Isa isa);
-[[nodiscard]] StatsRowFn statistics_row(Isa isa);
+/// One ISA's row functions.
+struct RowKernels {
+  Stencil3RowFn laplacian;
+  Stencil3RowFn gaussian;
+  Stencil3RowFn median;
+  /// D8 flow routing: 8-way strict-less argmax with first-wins tie-breaking
+  /// (E, SE, S, SW, W, NW, N, NE scan order preserved lane-wise).
+  Stencil3RowFn flow_routing;
+  SlopeRowFn slope;
+  StatsRowFn statistics;
+};
+
+/// The row functions of `isa`. Every ISA has a full table; on a target
+/// without the instruction set its table is the scalar one.
+[[nodiscard]] const RowKernels& row_kernels(Isa isa);
 
 // ---------------------------------------------------------------------------
-// Cache-blocked tile driver.
-
-/// Interior column-strip width (elements). Default sizes three input row
-/// panels + one output panel to a 256 KiB L2 budget; 0 disables blocking
-/// (whole-row sweeps). Overridable for benchmarks and tests.
-[[nodiscard]] std::uint32_t block_cols();
-void set_block_cols(std::uint32_t cols);
-inline constexpr std::uint32_t kDefaultBlockCols = 16384;
+// Tile driver.
 
 /// Shared run_tile driver for the 3x3/5-point stencils.
 ///
@@ -97,14 +92,12 @@ inline constexpr std::uint32_t kDefaultBlockCols = 16384;
 /// seed implementation); `row_segment(up, mid, down, dst, x0, x1)` its
 /// dispatched interior row function. Boundary rows, narrow grids
 /// (width <= 2) and the first/last column take edge_cell; every interior
-/// cell is covered exactly once by row_segment in column strips of
-/// block_cols() width. Bit-identical to the seed's single sweep for any
-/// strip width because cells are computed independently.
+/// row is covered exactly once by one row_segment call over [1, width - 1).
 template <typename EdgeFn, typename RowFn>
-void run_tile_blocked(const TileView& view, std::uint32_t grid_height,
-                      std::uint32_t out_row_begin, std::uint32_t out_row_end,
-                      grid::Grid<float>& out, EdgeFn&& edge_cell,
-                      RowFn&& row_segment) {
+void sweep_tile(const TileView& view, std::uint32_t grid_height,
+                std::uint32_t out_row_begin, std::uint32_t out_row_end,
+                grid::Grid<float>& out, EdgeFn&& edge_cell,
+                RowFn&& row_segment) {
   const std::uint32_t width = view.width();
   const std::uint32_t interior_lo = std::max(out_row_begin, 1U);
   const std::uint32_t interior_hi = std::min(out_row_end, grid_height - 1);
@@ -123,15 +116,9 @@ void run_tile_blocked(const TileView& view, std::uint32_t grid_height,
     edge_cell(0, y);
     edge_cell(width - 1, y);
   }
-
-  const std::uint32_t cols = block_cols();
-  const std::uint32_t strip = cols == 0 ? width - 2 : cols;
-  for (std::uint32_t x0 = 1; x0 < width - 1; x0 += strip) {
-    const std::uint32_t x1 = std::min(x0 + strip, width - 1);
-    for (std::uint32_t y = interior_lo; y < interior_hi; ++y) {
-      row_segment(view.row(y - 1), view.row(y), view.row(y + 1),
-                  out.row(y - out_row_begin), x0, x1);
-    }
+  for (std::uint32_t y = interior_lo; y < interior_hi; ++y) {
+    row_segment(view.row(y - 1), view.row(y), view.row(y + 1),
+                out.row(y - out_row_begin), 1, width - 1);
   }
 }
 

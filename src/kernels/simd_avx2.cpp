@@ -1,243 +1,70 @@
-// AVX2 row-segment functions (8 float lanes / 4 double lanes).
-//
-// Same contract as the SSE2 TU: one output cell per lane, scalar operand
-// order per cell, unaligned loads for the off-by-one stencil taps, scalar
-// tails. This TU is the only one compiled with -mavx2 (see
-// src/kernels/CMakeLists.txt); it is reached only after runtime CPUID
-// detection reports AVX2, and builds as scalar forwarders on targets where
-// the compiler provides no AVX2 (__AVX2__ unset).
-//
-// Deliberately no FMA: the scalar kernels compile without floating-point
-// contraction (-ffp-contract=off on das_kernels), so a fused
-// multiply-add here would break bit-identity.
+// AVX2 lane traits (8 float lanes / 4 double lanes) for the row kernels of
+// simd_rows.hpp. This TU is the only one compiled with -mavx2 (see
+// src/kernels/CMakeLists.txt); its table is selected only after runtime
+// CPUID detection reports AVX2, and is the scalar one on targets where the
+// compiler provides no AVX2 (__AVX2__ unset). Everything it defines has
+// internal linkage, since the linker may keep any TU's copy of a weak symbol
+// for every caller; the avx2_no_weak_symbols ctest checks this.
 #include "kernels/simd_detail.hpp"
 
-#include <algorithm>
-
 #if defined(__AVX2__)
-#define DAS_SIMD_HAVE_AVX2 1
 #include <immintrin.h>
-#else
-#define DAS_SIMD_HAVE_AVX2 0
+
+#include "kernels/simd_rows.hpp"
 #endif
 
 namespace das::kernels::simd::detail {
 
-#if DAS_SIMD_HAVE_AVX2
+#if defined(__AVX2__)
 
 namespace {
 
-/// sort2: a <- min(a, b), b <- max(a, b); ties keep the first operand in a.
-inline void sort2(__m256& a, __m256& b) {
-  const __m256 lo = _mm256_min_ps(a, b);
-  b = _mm256_max_ps(a, b);
-  a = lo;
-}
+struct Avx2 {
+  using Vec = __m256;
+  using VecD = __m256d;
+  static constexpr std::uint32_t kLanes = 8;
+  static constexpr std::uint32_t kDoubleLanes = 4;
+  static constexpr std::uint32_t kWidenReads = 4;
 
-/// Median of 9 via the Devillard / Paeth 19-exchange selection network.
-inline __m256 median9(__m256 p0, __m256 p1, __m256 p2, __m256 p3, __m256 p4,
-                      __m256 p5, __m256 p6, __m256 p7, __m256 p8) {
-  sort2(p1, p2); sort2(p4, p5); sort2(p7, p8);
-  sort2(p0, p1); sort2(p3, p4); sort2(p6, p7);
-  sort2(p1, p2); sort2(p4, p5); sort2(p7, p8);
-  sort2(p0, p3); sort2(p5, p8); sort2(p4, p7);
-  sort2(p3, p6); sort2(p1, p4); sort2(p2, p5);
-  sort2(p4, p7); sort2(p4, p2); sort2(p6, p4);
-  sort2(p4, p2);
-  return p4;
-}
+  static Vec load(const float* p) { return _mm256_loadu_ps(p); }
+  static void store(float* p, Vec v) { _mm256_storeu_ps(p, v); }
+  static void store_aligned(float* p, Vec v) { _mm256_store_ps(p, v); }
+  static Vec set1(float v) { return _mm256_set1_ps(v); }
+  static Vec zero() { return _mm256_setzero_ps(); }
+  static Vec add(Vec a, Vec b) { return _mm256_add_ps(a, b); }
+  static Vec sub(Vec a, Vec b) { return _mm256_sub_ps(a, b); }
+  static Vec mul(Vec a, Vec b) { return _mm256_mul_ps(a, b); }
+  static Vec div(Vec a, Vec b) { return _mm256_div_ps(a, b); }
+  static Vec min(Vec a, Vec b) { return _mm256_min_ps(a, b); }
+  static Vec max(Vec a, Vec b) { return _mm256_max_ps(a, b); }
+  static Vec less(Vec a, Vec b) { return _mm256_cmp_ps(a, b, _CMP_LT_OQ); }
+  /// mask ? on : off, per lane.
+  static Vec select(Vec mask, Vec on, Vec off) {
+    return _mm256_blendv_ps(off, on, mask);
+  }
+
+  static VecD set1(double v) { return _mm256_set1_pd(v); }
+  static VecD add(VecD a, VecD b) { return _mm256_add_pd(a, b); }
+  static VecD sub(VecD a, VecD b) { return _mm256_sub_pd(a, b); }
+  static VecD mul(VecD a, VecD b) { return _mm256_mul_pd(a, b); }
+  static VecD div(VecD a, VecD b) { return _mm256_div_pd(a, b); }
+  static VecD sqrt(VecD v) { return _mm256_sqrt_pd(v); }
+  /// p[0..3] as doubles (exact); reads p[0, kWidenReads).
+  static VecD widen(const float* p) { return _mm256_cvtps_pd(_mm_loadu_ps(p)); }
+  /// Round the four lanes to float and store them to p[0..3].
+  static void narrow_store(float* p, VecD v) {
+    _mm_storeu_ps(p, _mm256_cvtpd_ps(v));
+  }
+};
 
 }  // namespace
 
-void laplacian_row_avx2(const float* up, const float* mid, const float* down,
-                        float* dst, std::uint32_t x0, std::uint32_t x1) {
-  std::uint32_t x = x0;
-  const __m256 four = _mm256_set1_ps(4.0F);
-  for (; x + 8 <= x1; x += 8) {
-    const __m256 left = _mm256_loadu_ps(mid + x - 1);
-    const __m256 right = _mm256_loadu_ps(mid + x + 1);
-    const __m256 u = _mm256_loadu_ps(up + x);
-    const __m256 d = _mm256_loadu_ps(down + x);
-    const __m256 c = _mm256_loadu_ps(mid + x);
-    __m256 acc = _mm256_add_ps(left, right);
-    acc = _mm256_add_ps(acc, u);
-    acc = _mm256_add_ps(acc, d);
-    acc = _mm256_sub_ps(acc, _mm256_mul_ps(four, c));
-    _mm256_storeu_ps(dst + x, acc);
-  }
-  laplacian_row_scalar(up, mid, down, dst, x, x1);
-}
+const RowKernels& avx2_row_kernels() { return kRowKernels<Avx2>; }
 
-void gaussian_row_avx2(const float* up, const float* mid, const float* down,
-                       float* dst, std::uint32_t x0, std::uint32_t x1) {
-  std::uint32_t x = x0;
-  const __m256 two = _mm256_set1_ps(2.0F);
-  const __m256 four = _mm256_set1_ps(4.0F);
-  const __m256 sixteen = _mm256_set1_ps(16.0F);
-  for (; x + 8 <= x1; x += 8) {
-    // Mirrors the scalar accumulation order including the initial
-    // 0 + tap add (see the SSE2 TU).
-    __m256 sum =
-        _mm256_add_ps(_mm256_setzero_ps(), _mm256_loadu_ps(up + x - 1));
-    sum = _mm256_add_ps(sum, _mm256_mul_ps(two, _mm256_loadu_ps(up + x)));
-    sum = _mm256_add_ps(sum, _mm256_loadu_ps(up + x + 1));
-    sum = _mm256_add_ps(sum,
-                        _mm256_mul_ps(two, _mm256_loadu_ps(mid + x - 1)));
-    sum = _mm256_add_ps(sum, _mm256_mul_ps(four, _mm256_loadu_ps(mid + x)));
-    sum = _mm256_add_ps(sum,
-                        _mm256_mul_ps(two, _mm256_loadu_ps(mid + x + 1)));
-    sum = _mm256_add_ps(sum, _mm256_loadu_ps(down + x - 1));
-    sum = _mm256_add_ps(sum, _mm256_mul_ps(two, _mm256_loadu_ps(down + x)));
-    sum = _mm256_add_ps(sum, _mm256_loadu_ps(down + x + 1));
-    _mm256_storeu_ps(dst + x, _mm256_div_ps(sum, sixteen));
-  }
-  gaussian_row_scalar(up, mid, down, dst, x, x1);
-}
+#else  // compiler lacks AVX2: the scalar table.
 
-void slope_row_avx2(const float* up, const float* mid, const float* down,
-                    float* dst, std::uint32_t x0, std::uint32_t x1,
-                    double denom) {
-  std::uint32_t x = x0;
-  const __m256d two = _mm256_set1_pd(2.0);
-  const __m256d vden = _mm256_set1_pd(denom);
-  const auto widen = [](const float* p) {
-    return _mm256_cvtps_pd(_mm_loadu_ps(p));
-  };
-  for (; x + 4 <= x1; x += 4) {
-    const __m256d a = widen(up + x - 1);
-    const __m256d b = widen(up + x);
-    const __m256d c = widen(up + x + 1);
-    const __m256d d = widen(mid + x - 1);
-    const __m256d f = widen(mid + x + 1);
-    const __m256d g = widen(down + x - 1);
-    const __m256d h = widen(down + x);
-    const __m256d i = widen(down + x + 1);
+const RowKernels& avx2_row_kernels() { return scalar_row_kernels(); }
 
-    const __m256d east =
-        _mm256_add_pd(_mm256_add_pd(c, _mm256_mul_pd(two, f)), i);
-    const __m256d west =
-        _mm256_add_pd(_mm256_add_pd(a, _mm256_mul_pd(two, d)), g);
-    const __m256d dzdx = _mm256_div_pd(_mm256_sub_pd(east, west), vden);
-    const __m256d south =
-        _mm256_add_pd(_mm256_add_pd(g, _mm256_mul_pd(two, h)), i);
-    const __m256d north =
-        _mm256_add_pd(_mm256_add_pd(a, _mm256_mul_pd(two, b)), c);
-    const __m256d dzdy = _mm256_div_pd(_mm256_sub_pd(south, north), vden);
-
-    const __m256d mag = _mm256_sqrt_pd(_mm256_add_pd(
-        _mm256_mul_pd(dzdx, dzdx), _mm256_mul_pd(dzdy, dzdy)));
-    _mm_storeu_ps(dst + x, _mm256_cvtpd_ps(mag));
-  }
-  slope_row_scalar(up, mid, down, dst, x, x1, denom);
-}
-
-void median_row_avx2(const float* up, const float* mid, const float* down,
-                     float* dst, std::uint32_t x0, std::uint32_t x1) {
-  std::uint32_t x = x0;
-  for (; x + 8 <= x1; x += 8) {
-    const __m256 med = median9(
-        _mm256_loadu_ps(up + x - 1), _mm256_loadu_ps(up + x),
-        _mm256_loadu_ps(up + x + 1), _mm256_loadu_ps(mid + x - 1),
-        _mm256_loadu_ps(mid + x), _mm256_loadu_ps(mid + x + 1),
-        _mm256_loadu_ps(down + x - 1), _mm256_loadu_ps(down + x),
-        _mm256_loadu_ps(down + x + 1));
-    _mm256_storeu_ps(dst + x, med);
-  }
-  median_row_scalar(up, mid, down, dst, x, x1);
-}
-
-void flow_routing_row_avx2(const float* up, const float* mid,
-                           const float* down, float* dst, std::uint32_t x0,
-                           std::uint32_t x1) {
-  std::uint32_t x = x0;
-  for (; x + 8 <= x1; x += 8) {
-    // 8-way argmax with strict `<` and first-wins ties: the compare mask is
-    // taken BEFORE the min update, so a later neighbour equal to the running
-    // best never steals the code — exactly the scalar consider() order.
-    // Codes stay in the float domain (0..128 are exactly representable) so
-    // the winner blends straight into the output store.
-    __m256 best = _mm256_loadu_ps(mid + x);
-    __m256 code = _mm256_setzero_ps();
-    const auto consider = [&](const float* taps, float step_code) {
-      const __m256 v = _mm256_loadu_ps(taps);
-      const __m256 lt = _mm256_cmp_ps(v, best, _CMP_LT_OQ);
-      best = _mm256_min_ps(v, best);  // v < best ? v : best — scalar update
-      code = _mm256_blendv_ps(code, _mm256_set1_ps(step_code), lt);
-    };
-    consider(mid + x + 1, 1.0F);    // E
-    consider(down + x + 1, 2.0F);   // SE
-    consider(down + x, 4.0F);       // S
-    consider(down + x - 1, 8.0F);   // SW
-    consider(mid + x - 1, 16.0F);   // W
-    consider(up + x - 1, 32.0F);    // NW
-    consider(up + x, 64.0F);        // N
-    consider(up + x + 1, 128.0F);   // NE
-    _mm256_storeu_ps(dst + x, code);
-  }
-  flow_routing_row_scalar(up, mid, down, dst, x, x1);
-}
-
-void statistics_row_avx2(const float* row, std::uint32_t n,
-                         std::uint64_t& count, float& min, float& max,
-                         double& sum, double& sum_squares) {
-  std::uint32_t x = 0;
-  if (n >= 8) {
-    __m256 vmin = _mm256_loadu_ps(row);
-    __m256 vmax = vmin;
-    for (x = 8; x + 8 <= n; x += 8) {
-      const __m256 v = _mm256_loadu_ps(row + x);
-      vmin = _mm256_min_ps(v, vmin);  // ties keep the accumulator
-      vmax = _mm256_max_ps(v, vmax);
-    }
-    alignas(32) float lanes[8];
-    _mm256_store_ps(lanes, vmin);
-    for (const float lane : lanes) min = std::min(min, lane);
-    _mm256_store_ps(lanes, vmax);
-    for (const float lane : lanes) max = std::max(max, lane);
-  }
-  for (; x < n; ++x) {
-    min = std::min(min, row[x]);
-    max = std::max(max, row[x]);
-  }
-  count += n;
-  // Exact scalar accumulation order — see the StatsRowFn contract.
-  for (std::uint32_t k = 0; k < n; ++k) {
-    const float v = row[k];
-    sum += v;
-    sum_squares += static_cast<double>(v) * v;
-  }
-}
-
-#else  // !DAS_SIMD_HAVE_AVX2 — compiler lacks AVX2: forward to scalar.
-
-void laplacian_row_avx2(const float* up, const float* mid, const float* down,
-                        float* dst, std::uint32_t x0, std::uint32_t x1) {
-  laplacian_row_scalar(up, mid, down, dst, x0, x1);
-}
-void gaussian_row_avx2(const float* up, const float* mid, const float* down,
-                       float* dst, std::uint32_t x0, std::uint32_t x1) {
-  gaussian_row_scalar(up, mid, down, dst, x0, x1);
-}
-void slope_row_avx2(const float* up, const float* mid, const float* down,
-                    float* dst, std::uint32_t x0, std::uint32_t x1,
-                    double denom) {
-  slope_row_scalar(up, mid, down, dst, x0, x1, denom);
-}
-void median_row_avx2(const float* up, const float* mid, const float* down,
-                     float* dst, std::uint32_t x0, std::uint32_t x1) {
-  median_row_scalar(up, mid, down, dst, x0, x1);
-}
-void flow_routing_row_avx2(const float* up, const float* mid,
-                           const float* down, float* dst, std::uint32_t x0,
-                           std::uint32_t x1) {
-  flow_routing_row_scalar(up, mid, down, dst, x0, x1);
-}
-void statistics_row_avx2(const float* row, std::uint32_t n,
-                         std::uint64_t& count, float& min, float& max,
-                         double& sum, double& sum_squares) {
-  statistics_row_scalar(row, n, count, min, max, sum, sum_squares);
-}
-
-#endif  // DAS_SIMD_HAVE_AVX2
+#endif
 
 }  // namespace das::kernels::simd::detail

@@ -106,4 +106,11 @@ void statistics_row_scalar(const float* row, std::uint32_t n,
   }
 }
 
+const RowKernels& scalar_row_kernels() {
+  static constexpr RowKernels kTable(laplacian_row_scalar, gaussian_row_scalar,
+                                     median_row_scalar, flow_routing_row_scalar,
+                                     slope_row_scalar, statistics_row_scalar);
+  return kTable;
+}
+
 }  // namespace das::kernels::simd::detail

@@ -1,245 +1,67 @@
-// SSE2 row-segment functions (4 float lanes / 2 double lanes).
-//
-// Every lane computes one output cell with the exact scalar operand order —
-// lanes never share partial results — so outputs are bit-identical to the
-// scalar path. Loads are unaligned (the x-1 / x+1 taps are off-alignment by
-// construction); loop tails fall back to the scalar body. SSE2 is the
-// x86-64 baseline, so this TU needs no special compile flags; on non-x86
-// targets every entry point forwards to the scalar implementation.
+// SSE2 lane traits (4 float lanes / 2 double lanes) for the row kernels of
+// simd_rows.hpp. SSE2 is the x86-64 baseline, so this TU needs no special
+// compile flags; on non-x86 targets its table is the scalar one.
 #include "kernels/simd_detail.hpp"
 
-#include <algorithm>
-
 #if defined(__SSE2__)
-#define DAS_SIMD_HAVE_SSE2 1
 #include <emmintrin.h>
-#else
-#define DAS_SIMD_HAVE_SSE2 0
+
+#include "kernels/simd_rows.hpp"
 #endif
 
 namespace das::kernels::simd::detail {
 
-#if DAS_SIMD_HAVE_SSE2
+#if defined(__SSE2__)
 
 namespace {
 
-/// sort2: a <- min(a, b), b <- max(a, b). With both operands ordered this
-/// way, ties keep the first operand in `a`, matching std::nth_element's
-/// selection of the median *value*.
-inline void sort2(__m128& a, __m128& b) {
-  const __m128 lo = _mm_min_ps(a, b);
-  b = _mm_max_ps(a, b);
-  a = lo;
-}
+struct Sse2 {
+  using Vec = __m128;
+  using VecD = __m128d;
+  static constexpr std::uint32_t kLanes = 4;
+  static constexpr std::uint32_t kDoubleLanes = 2;
+  static constexpr std::uint32_t kWidenReads = 4;
 
-/// Median of 9 via the Devillard / Paeth 19-exchange selection network;
-/// returns the same median value as nth_element over the window.
-inline __m128 median9(__m128 p0, __m128 p1, __m128 p2, __m128 p3, __m128 p4,
-                      __m128 p5, __m128 p6, __m128 p7, __m128 p8) {
-  sort2(p1, p2); sort2(p4, p5); sort2(p7, p8);
-  sort2(p0, p1); sort2(p3, p4); sort2(p6, p7);
-  sort2(p1, p2); sort2(p4, p5); sort2(p7, p8);
-  sort2(p0, p3); sort2(p5, p8); sort2(p4, p7);
-  sort2(p3, p6); sort2(p1, p4); sort2(p2, p5);
-  sort2(p4, p7); sort2(p4, p2); sort2(p6, p4);
-  sort2(p4, p2);
-  return p4;
-}
+  static Vec load(const float* p) { return _mm_loadu_ps(p); }
+  static void store(float* p, Vec v) { _mm_storeu_ps(p, v); }
+  static void store_aligned(float* p, Vec v) { _mm_store_ps(p, v); }
+  static Vec set1(float v) { return _mm_set1_ps(v); }
+  static Vec zero() { return _mm_setzero_ps(); }
+  static Vec add(Vec a, Vec b) { return _mm_add_ps(a, b); }
+  static Vec sub(Vec a, Vec b) { return _mm_sub_ps(a, b); }
+  static Vec mul(Vec a, Vec b) { return _mm_mul_ps(a, b); }
+  static Vec div(Vec a, Vec b) { return _mm_div_ps(a, b); }
+  static Vec min(Vec a, Vec b) { return _mm_min_ps(a, b); }
+  static Vec max(Vec a, Vec b) { return _mm_max_ps(a, b); }
+  static Vec less(Vec a, Vec b) { return _mm_cmplt_ps(a, b); }
+  /// mask ? on : off, per lane (SSE2 has no blend).
+  static Vec select(Vec mask, Vec on, Vec off) {
+    return _mm_or_ps(_mm_and_ps(mask, on), _mm_andnot_ps(mask, off));
+  }
+
+  static VecD set1(double v) { return _mm_set1_pd(v); }
+  static VecD add(VecD a, VecD b) { return _mm_add_pd(a, b); }
+  static VecD sub(VecD a, VecD b) { return _mm_sub_pd(a, b); }
+  static VecD mul(VecD a, VecD b) { return _mm_mul_pd(a, b); }
+  static VecD div(VecD a, VecD b) { return _mm_div_pd(a, b); }
+  static VecD sqrt(VecD v) { return _mm_sqrt_pd(v); }
+  /// p[0], p[1] as doubles (exact); reads p[0, kWidenReads).
+  static VecD widen(const float* p) { return _mm_cvtps_pd(_mm_loadu_ps(p)); }
+  /// Round both lanes to float and store them to p[0], p[1].
+  static void narrow_store(float* p, VecD v) {
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(p),
+                     _mm_castps_si128(_mm_cvtpd_ps(v)));
+  }
+};
 
 }  // namespace
 
-void laplacian_row_sse2(const float* up, const float* mid, const float* down,
-                        float* dst, std::uint32_t x0, std::uint32_t x1) {
-  std::uint32_t x = x0;
-  const __m128 four = _mm_set1_ps(4.0F);
-  for (; x + 4 <= x1; x += 4) {
-    // ((((mid[x-1] + mid[x+1]) + up[x]) + down[x]) - 4 * mid[x])
-    const __m128 left = _mm_loadu_ps(mid + x - 1);
-    const __m128 right = _mm_loadu_ps(mid + x + 1);
-    const __m128 u = _mm_loadu_ps(up + x);
-    const __m128 d = _mm_loadu_ps(down + x);
-    const __m128 c = _mm_loadu_ps(mid + x);
-    __m128 acc = _mm_add_ps(left, right);
-    acc = _mm_add_ps(acc, u);
-    acc = _mm_add_ps(acc, d);
-    acc = _mm_sub_ps(acc, _mm_mul_ps(four, c));
-    _mm_storeu_ps(dst + x, acc);
-  }
-  laplacian_row_scalar(up, mid, down, dst, x, x1);
-}
+const RowKernels& sse2_row_kernels() { return kRowKernels<Sse2>; }
 
-void gaussian_row_sse2(const float* up, const float* mid, const float* down,
-                       float* dst, std::uint32_t x0, std::uint32_t x1) {
-  std::uint32_t x = x0;
-  const __m128 two = _mm_set1_ps(2.0F);
-  const __m128 four = _mm_set1_ps(4.0F);
-  const __m128 sixteen = _mm_set1_ps(16.0F);
-  for (; x + 4 <= x1; x += 4) {
-    // sum accumulates in the scalar path's (dy, dx) order, including the
-    // initial 0 + tap add (0 + -0.0 is +0.0, so skipping it would flip a
-    // bit on all-zero windows); weight-1 taps add the tap directly —
-    // 1.0f * v is exactly v for every float.
-    __m128 sum = _mm_add_ps(_mm_setzero_ps(), _mm_loadu_ps(up + x - 1));
-    sum = _mm_add_ps(sum, _mm_mul_ps(two, _mm_loadu_ps(up + x)));
-    sum = _mm_add_ps(sum, _mm_loadu_ps(up + x + 1));
-    sum = _mm_add_ps(sum, _mm_mul_ps(two, _mm_loadu_ps(mid + x - 1)));
-    sum = _mm_add_ps(sum, _mm_mul_ps(four, _mm_loadu_ps(mid + x)));
-    sum = _mm_add_ps(sum, _mm_mul_ps(two, _mm_loadu_ps(mid + x + 1)));
-    sum = _mm_add_ps(sum, _mm_loadu_ps(down + x - 1));
-    sum = _mm_add_ps(sum, _mm_mul_ps(two, _mm_loadu_ps(down + x)));
-    sum = _mm_add_ps(sum, _mm_loadu_ps(down + x + 1));
-    _mm_storeu_ps(dst + x, _mm_div_ps(sum, sixteen));
-  }
-  gaussian_row_scalar(up, mid, down, dst, x, x1);
-}
+#else  // non-x86 target: the scalar table.
 
-void slope_row_sse2(const float* up, const float* mid, const float* down,
-                    float* dst, std::uint32_t x0, std::uint32_t x1,
-                    double denom) {
-  std::uint32_t x = x0;
-  const __m128d two = _mm_set1_pd(2.0);
-  const __m128d vden = _mm_set1_pd(denom);
-  // Two double lanes per step: widen float taps exactly, then evaluate the
-  // scalar expression per lane (sqrt and divide are correctly rounded, so
-  // lane results match std::sqrt / scalar division bit for bit).
-  for (; x + 2 <= x1; x += 2) {
-    const __m128d a = _mm_cvtps_pd(_mm_loadu_ps(up + x - 1));
-    const __m128d b = _mm_cvtps_pd(_mm_loadu_ps(up + x));
-    const __m128d c = _mm_cvtps_pd(_mm_loadu_ps(up + x + 1));
-    const __m128d d = _mm_cvtps_pd(_mm_loadu_ps(mid + x - 1));
-    const __m128d f = _mm_cvtps_pd(_mm_loadu_ps(mid + x + 1));
-    const __m128d g = _mm_cvtps_pd(_mm_loadu_ps(down + x - 1));
-    const __m128d h = _mm_cvtps_pd(_mm_loadu_ps(down + x));
-    const __m128d i = _mm_cvtps_pd(_mm_loadu_ps(down + x + 1));
+const RowKernels& sse2_row_kernels() { return scalar_row_kernels(); }
 
-    // ((c + 2*f + i) - (a + 2*d + g)) / denom
-    const __m128d east = _mm_add_pd(_mm_add_pd(c, _mm_mul_pd(two, f)), i);
-    const __m128d west = _mm_add_pd(_mm_add_pd(a, _mm_mul_pd(two, d)), g);
-    const __m128d dzdx = _mm_div_pd(_mm_sub_pd(east, west), vden);
-    // ((g + 2*h + i) - (a + 2*b + c)) / denom
-    const __m128d south = _mm_add_pd(_mm_add_pd(g, _mm_mul_pd(two, h)), i);
-    const __m128d north = _mm_add_pd(_mm_add_pd(a, _mm_mul_pd(two, b)), c);
-    const __m128d dzdy = _mm_div_pd(_mm_sub_pd(south, north), vden);
-
-    const __m128d mag = _mm_sqrt_pd(
-        _mm_add_pd(_mm_mul_pd(dzdx, dzdx), _mm_mul_pd(dzdy, dzdy)));
-    _mm_storel_epi64(reinterpret_cast<__m128i*>(dst + x),
-                     _mm_castps_si128(_mm_cvtpd_ps(mag)));
-  }
-  slope_row_scalar(up, mid, down, dst, x, x1, denom);
-}
-
-void median_row_sse2(const float* up, const float* mid, const float* down,
-                     float* dst, std::uint32_t x0, std::uint32_t x1) {
-  std::uint32_t x = x0;
-  for (; x + 4 <= x1; x += 4) {
-    const __m128 med = median9(
-        _mm_loadu_ps(up + x - 1), _mm_loadu_ps(up + x),
-        _mm_loadu_ps(up + x + 1), _mm_loadu_ps(mid + x - 1),
-        _mm_loadu_ps(mid + x), _mm_loadu_ps(mid + x + 1),
-        _mm_loadu_ps(down + x - 1), _mm_loadu_ps(down + x),
-        _mm_loadu_ps(down + x + 1));
-    _mm_storeu_ps(dst + x, med);
-  }
-  median_row_scalar(up, mid, down, dst, x, x1);
-}
-
-void flow_routing_row_sse2(const float* up, const float* mid,
-                           const float* down, float* dst, std::uint32_t x0,
-                           std::uint32_t x1) {
-  std::uint32_t x = x0;
-  for (; x + 4 <= x1; x += 4) {
-    // 8-way argmax, strict `<` with first-wins ties: the compare mask is
-    // taken BEFORE the min update, so a neighbour equal to the running best
-    // never steals the code — exactly the scalar consider() order. Codes
-    // live as their float values (0..128 are exact), so the winning lane's
-    // code blends through the ps domain and stores directly.
-    __m128 best = _mm_loadu_ps(mid + x);
-    __m128 code = _mm_setzero_ps();
-    const auto consider = [&](const float* taps, float step_code) {
-      const __m128 v = _mm_loadu_ps(taps);
-      const __m128 lt = _mm_cmplt_ps(v, best);
-      best = _mm_min_ps(v, best);  // v < best ? v : best — scalar update
-      const __m128 c = _mm_set1_ps(step_code);
-      code = _mm_or_ps(_mm_and_ps(lt, c), _mm_andnot_ps(lt, code));
-    };
-    consider(mid + x + 1, 1.0F);    // E
-    consider(down + x + 1, 2.0F);   // SE
-    consider(down + x, 4.0F);       // S
-    consider(down + x - 1, 8.0F);   // SW
-    consider(mid + x - 1, 16.0F);   // W
-    consider(up + x - 1, 32.0F);    // NW
-    consider(up + x, 64.0F);        // N
-    consider(up + x + 1, 128.0F);   // NE
-    _mm_storeu_ps(dst + x, code);
-  }
-  flow_routing_row_scalar(up, mid, down, dst, x, x1);
-}
-
-void statistics_row_sse2(const float* row, std::uint32_t n,
-                         std::uint64_t& count, float& min, float& max,
-                         double& sum, double& sum_squares) {
-  // min/max fold vectorizes (operand order keeps the accumulator on ties,
-  // like std::min/std::max); the sum / sum_squares chains stay scalar in
-  // exact left-to-right order — reassociating a float->double accumulation
-  // would change low-order bits.
-  std::uint32_t x = 0;
-  if (n >= 4) {
-    __m128 vmin = _mm_loadu_ps(row);
-    __m128 vmax = vmin;
-    for (x = 4; x + 4 <= n; x += 4) {
-      const __m128 v = _mm_loadu_ps(row + x);
-      vmin = _mm_min_ps(v, vmin);  // ties keep the accumulator
-      vmax = _mm_max_ps(v, vmax);
-    }
-    alignas(16) float lanes[4];
-    _mm_store_ps(lanes, vmin);
-    for (const float lane : lanes) min = std::min(min, lane);
-    _mm_store_ps(lanes, vmax);
-    for (const float lane : lanes) max = std::max(max, lane);
-  }
-  for (; x < n; ++x) {
-    min = std::min(min, row[x]);
-    max = std::max(max, row[x]);
-  }
-  count += n;
-  for (std::uint32_t k = 0; k < n; ++k) {
-    const float v = row[k];
-    sum += v;
-    sum_squares += static_cast<double>(v) * v;
-  }
-}
-
-#else  // !DAS_SIMD_HAVE_SSE2 — non-x86 target: forward to scalar.
-
-void laplacian_row_sse2(const float* up, const float* mid, const float* down,
-                        float* dst, std::uint32_t x0, std::uint32_t x1) {
-  laplacian_row_scalar(up, mid, down, dst, x0, x1);
-}
-void gaussian_row_sse2(const float* up, const float* mid, const float* down,
-                       float* dst, std::uint32_t x0, std::uint32_t x1) {
-  gaussian_row_scalar(up, mid, down, dst, x0, x1);
-}
-void slope_row_sse2(const float* up, const float* mid, const float* down,
-                    float* dst, std::uint32_t x0, std::uint32_t x1,
-                    double denom) {
-  slope_row_scalar(up, mid, down, dst, x0, x1, denom);
-}
-void median_row_sse2(const float* up, const float* mid, const float* down,
-                     float* dst, std::uint32_t x0, std::uint32_t x1) {
-  median_row_scalar(up, mid, down, dst, x0, x1);
-}
-void flow_routing_row_sse2(const float* up, const float* mid,
-                           const float* down, float* dst, std::uint32_t x0,
-                           std::uint32_t x1) {
-  flow_routing_row_scalar(up, mid, down, dst, x0, x1);
-}
-void statistics_row_sse2(const float* row, std::uint32_t n,
-                         std::uint64_t& count, float& min, float& max,
-                         double& sum, double& sum_squares) {
-  statistics_row_scalar(row, n, count, min, max, sum, sum_squares);
-}
-
-#endif  // DAS_SIMD_HAVE_SSE2
+#endif
 
 }  // namespace das::kernels::simd::detail

@@ -59,9 +59,9 @@ void SlopeKernel::run_tile(const grid::Grid<float>& buffer,
   // are bit-identical to the clamped path on every ISA (the dispatched row
   // functions evaluate Horn's expression per lane in scalar operand order,
   // with correctly-rounded divide and sqrt).
-  const simd::SlopeRowFn row_fn = simd::slope_row(simd::active_isa());
+  const simd::SlopeRowFn row_fn = simd::row_kernels(simd::active_isa()).slope;
   const double denom = 8.0 * cell_size_;
-  simd::run_tile_blocked(
+  simd::sweep_tile(
       view, grid_height, out_row_begin, out_row_end, out, edge_cell,
       [row_fn, denom](const float* up, const float* mid, const float* down,
                       float* dst, std::uint32_t x0, std::uint32_t x1) {

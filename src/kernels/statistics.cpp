@@ -40,7 +40,8 @@ RasterSummary RasterSummary::of_rows(const grid::Grid<float>& g,
   // Dispatched per-row reduction. min/max vectorize (order-free without
   // NaN); sum and sum_squares stay sequential scalar double adds on every
   // ISA so the summary is bit-identical to the naive loop.
-  const simd::StatsRowFn row_fn = simd::statistics_row(simd::active_isa());
+  const simd::StatsRowFn row_fn =
+      simd::row_kernels(simd::active_isa()).statistics;
   for (std::uint32_t y = row_begin; y < row_end; ++y) {
     row_fn(g.row(y), g.width(), s.count, s.min, s.max, s.sum,
            s.sum_squares);

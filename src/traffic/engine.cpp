@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <string>
 #include <utility>
 
 #include "kernels/registry.hpp"
@@ -33,6 +34,33 @@ struct KindCosts {
     return factor[static_cast<std::size_t>(kind)];
   }
 };
+
+/// Reject, naming the field, every value the engine would otherwise abort
+/// on (the DAS_REQUIREs below and in the arrival generator, the fair queue
+/// and the Cluster constructor).
+void validate(const TrafficConfig& config) {
+  core::check_cluster(config.cluster);
+  const ArrivalConfig& a = config.arrivals;
+  core::require_option(a.tenants > 0, "arrivals.tenants", a.tenants, "> 0");
+  core::require_option(a.datasets > 0, "arrivals.datasets", a.datasets, "> 0");
+  core::require_option(a.strip_bytes > 0, "arrivals.strip_bytes",
+                       a.strip_bytes, "> 0");
+  if (config.trace_file.empty()) {  // Poisson arrivals
+    core::require_option(a.rate_hz > 0.0, "arrivals.rate_hz", a.rate_hz, "> 0");
+    core::require_option(a.job_bytes > 0, "arrivals.job_bytes", a.job_bytes,
+                         "> 0");
+  }
+  const std::uint64_t dataset_bytes = a.dataset_strips * a.strip_bytes;
+  core::require_option(a.job_bytes <= dataset_bytes, "arrivals.job_bytes",
+                       a.job_bytes,
+                       "<= " + std::to_string(dataset_bytes) +
+                           ", one dataset's bytes");
+  if (config.fair_queue) {
+    for (const double weight : config.weights) {
+      core::require_option(weight > 0.0, "weights", weight, "> 0");
+    }
+  }
+}
 
 /// One traffic run: owns the cluster, the control-plane state machines and
 /// the per-job bookkeeping. Local to run_traffic().
@@ -318,6 +346,7 @@ std::string TrafficReport::slo_csv() const {
 }
 
 TrafficReport run_traffic(const TrafficConfig& config) {
+  validate(config);
   TrafficEngine engine(config);
   return engine.run();
 }

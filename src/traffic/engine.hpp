@@ -86,6 +86,8 @@ struct TrafficReport {
 };
 
 /// Run the configured workload to completion and report per-tenant SLOs.
+/// Bad values are rejected first with std::invalid_argument naming the field
+/// ("invalid run option <field>=<value> (must be ...)").
 [[nodiscard]] TrafficReport run_traffic(const TrafficConfig& config);
 
 }  // namespace das::traffic

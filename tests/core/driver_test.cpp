@@ -131,6 +131,22 @@ TEST(DriverTest, BadOptionsAreRejectedNamingTheField) {
   o = sim_options(Scheme::kNAS);
   o.workload.strip_size = 0;
   EXPECT_NE(rejection(o).find("workload.strip_size=0"), std::string::npos);
+  o = sim_options(Scheme::kTS);
+  o.cluster.straggler_count = o.cluster.storage_nodes + 1;
+  EXPECT_NE(rejection(o).find("cluster.straggler_count=5"), std::string::npos);
+  o = sim_options(Scheme::kDAS);
+  o.cluster.straggler_slowdown = 0.5;
+  EXPECT_NE(rejection(o).find("cluster.straggler_slowdown=0.5"),
+            std::string::npos);
+  // No executor carries a reduction's partial results as real bytes.
+  for (const Scheme scheme : {Scheme::kTS, Scheme::kNAS, Scheme::kDAS}) {
+    o = sim_options(scheme);
+    o.workload.kernel_name = "raster-statistics";
+    o.workload.with_data = true;
+    EXPECT_NE(rejection(o).find("kernel_chain=raster-statistics"),
+              std::string::npos)
+        << to_string(scheme);
+  }
 }
 
 TEST(DriverTest, AccessAndMigrationAreSingleStageOptions) {

@@ -4,7 +4,13 @@
 // list and offloads unconditionally — and NAS equals DAS.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "core/active_executor.hpp"
+#include "core/cluster.hpp"
 #include "core/scheme.hpp"
+#include "core/ts_executor.hpp"
+#include "kernels/registry.hpp"
 
 namespace das::core {
 namespace {
@@ -63,12 +69,26 @@ TEST(ReductionTest, ActiveResultTrafficIsOnePartialPerRun) {
   EXPECT_EQ(das.client_server_bytes, 2048U * 64);
 }
 
+// run_scheme rejects a data-mode reduction up front, naming the kernel; the
+// executors keep their own guard for callers that build one directly.
 TEST(ReductionDeathTest, DataModeIsRejected) {
   SchemeRunOptions o = reduction_options(Scheme::kNAS);
   o.workload.data_bytes = 64 * 64;
   o.workload.strip_size = 64;
   o.workload.with_data = true;
-  EXPECT_DEATH(run_scheme(o), "DAS_REQUIRE");
+  EXPECT_THROW((void)run_scheme(o), std::invalid_argument);
+
+  const kernels::KernelPtr kernel =
+      kernels::standard_registry().create("raster-statistics");
+  Cluster cluster(o.cluster);
+  ActiveExecutor::Options active;
+  active.kernel = kernel.get();
+  active.data_mode = true;
+  EXPECT_DEATH(ActiveExecutor(cluster, active), "DAS_REQUIRE");
+  TsExecutor::Options ts;
+  ts.kernel = kernel.get();
+  ts.data_mode = true;
+  EXPECT_DEATH(TsExecutor(cluster, ts), "DAS_REQUIRE");
 }
 
 }  // namespace

@@ -1,6 +1,9 @@
 // Straggler injection: slow storage nodes and their effect per scheme.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "core/cluster.hpp"
 #include "core/scheme.hpp"
 
 namespace das::core {
@@ -78,11 +81,15 @@ TEST(StragglerTest, UtilizationReflectsTheScheme) {
   EXPECT_GT(das.server_disk_utilization, 0.0);
 }
 
+// run_scheme rejects both settings up front, naming the field; the Cluster
+// keeps its own guard for callers that build one directly.
 TEST(StragglerDeathTest, InvalidConfigAborts) {
-  SchemeRunOptions o = options_with_stragglers(Scheme::kTS, 5, 2.0);
-  EXPECT_DEATH(run_scheme(o), "DAS_REQUIRE");  // more stragglers than servers
-  SchemeRunOptions o2 = options_with_stragglers(Scheme::kTS, 1, 0.5);
-  EXPECT_DEATH(run_scheme(o2), "DAS_REQUIRE");  // speedup, not slowdown
+  const SchemeRunOptions o = options_with_stragglers(Scheme::kTS, 5, 2.0);
+  EXPECT_DEATH(Cluster{o.cluster}, "DAS_REQUIRE");  // more stragglers
+  const SchemeRunOptions o2 = options_with_stragglers(Scheme::kTS, 1, 0.5);
+  EXPECT_DEATH(Cluster{o2.cluster}, "DAS_REQUIRE");  // speedup, not slowdown
+  EXPECT_THROW((void)run_scheme(o), std::invalid_argument);
+  EXPECT_THROW((void)run_scheme(o2), std::invalid_argument);
 }
 
 }  // namespace

@@ -89,8 +89,44 @@ INSTANTIATE_TEST_SUITE_P(Shapes, GeneratorReferenceTest,
 
 // Option sets on either side of the culling guard (background > 0 and
 // blob_intensity > 0), with and without noise and blobs.
+//
+// A case carries its name as an index into kImageCaseNames, not as a
+// string: gtest prints a case as its raw bytes and ctest puts them in the
+// test's name, and a string's address moves with every build.
+enum ImageCaseName : std::size_t {
+  kNoNoise,
+  kTinyBackground,
+  kTinyBackgroundNoNoise,
+  kZeroBackground,
+  kNegativeBackground,
+  kBrightBlobs,
+  kBrightBlobsNoNoise,
+  kDarkBlobs,
+  kNegativeBlobs,
+  kNoBlobs,
+  kOneBlob,
+  kManyBlobs,
+  kManyBlobsNegativeBackground,
+};
+
+const char* const kImageCaseNames[] = {
+    "NoNoise",
+    "TinyBackground",
+    "TinyBackgroundNoNoise",
+    "ZeroBackground",
+    "NegativeBackground",
+    "BrightBlobs",
+    "BrightBlobsNoNoise",
+    "DarkBlobs",
+    "NegativeBlobs",
+    "NoBlobs",
+    "OneBlob",
+    "ManyBlobs",
+    "ManyBlobsNegativeBackground",
+};
+
 struct ImageCase {
-  const char* name;
+  ImageCaseName name;
   double background;
   double blob_intensity;
   double noise_stddev;
@@ -98,19 +134,19 @@ struct ImageCase {
 };
 
 const std::vector<ImageCase> kImageCases = {
-    {"NoNoise", 100.0, 800.0, 0.0, 12},
-    {"TinyBackground", 1e-6, 800.0, 25.0, 12},
-    {"TinyBackgroundNoNoise", 1e-6, 800.0, 0.0, 12},
-    {"ZeroBackground", 0.0, 800.0, 25.0, 12},
-    {"NegativeBackground", -50.0, 800.0, 25.0, 12},
-    {"BrightBlobs", 100.0, 1e6, 25.0, 12},
-    {"BrightBlobsNoNoise", 1e-6, 1e6, 0.0, 12},
-    {"DarkBlobs", 100.0, 0.0, 25.0, 12},
-    {"NegativeBlobs", 100.0, -800.0, 0.0, 12},
-    {"NoBlobs", 100.0, 800.0, 25.0, 0},
-    {"OneBlob", 100.0, 800.0, 0.0, 1},
-    {"ManyBlobs", 100.0, 800.0, 25.0, 64},
-    {"ManyBlobsNegativeBackground", -50.0, 800.0, 0.0, 64},
+    {kNoNoise, 100.0, 800.0, 0.0, 12},
+    {kTinyBackground, 1e-6, 800.0, 25.0, 12},
+    {kTinyBackgroundNoNoise, 1e-6, 800.0, 0.0, 12},
+    {kZeroBackground, 0.0, 800.0, 25.0, 12},
+    {kNegativeBackground, -50.0, 800.0, 25.0, 12},
+    {kBrightBlobs, 100.0, 1e6, 25.0, 12},
+    {kBrightBlobsNoNoise, 1e-6, 1e6, 0.0, 12},
+    {kDarkBlobs, 100.0, 0.0, 25.0, 12},
+    {kNegativeBlobs, 100.0, -800.0, 0.0, 12},
+    {kNoBlobs, 100.0, 800.0, 25.0, 0},
+    {kOneBlob, 100.0, 800.0, 0.0, 1},
+    {kManyBlobs, 100.0, 800.0, 25.0, 64},
+    {kManyBlobsNegativeBackground, -50.0, 800.0, 0.0, 64},
 };
 
 class ImageOptionsReferenceTest : public ::testing::TestWithParam<ImageCase> {
@@ -141,7 +177,8 @@ TEST_P(ImageOptionsReferenceTest, MatchesReference) {
 INSTANTIATE_TEST_SUITE_P(Options, ImageOptionsReferenceTest,
                          ::testing::ValuesIn(kImageCases),
                          [](const auto& info) {
-                           return std::string(info.param.name);
+                           return std::string(
+                               kImageCaseNames[info.param.name]);
                          });
 
 // The band is exact because the DEM's top-left corner never depends on the

@@ -93,86 +93,13 @@ TEST(GridAlignmentTest, StorageIs64ByteAligned) {
     Grid<float> g(width, 3);
     EXPECT_EQ(reinterpret_cast<std::uintptr_t>(g.data()) % kGridAlignment, 0U)
         << "width " << width;
-    EXPECT_TRUE(g.contiguous());
-    EXPECT_EQ(g.stride(), width);
   }
-}
-
-TEST(GridAlignmentTest, PaddedRowsAllStartAligned) {
-  for (const std::uint32_t width : kAlignmentWidths) {
-    Grid<float> g = Grid<float>::padded(width, 4, 1.5F);
-    EXPECT_GE(g.stride(), width);
-    EXPECT_EQ(g.stride() % (kGridAlignment / sizeof(float)), 0U);
-    EXPECT_EQ(g.size(), static_cast<std::size_t>(width) * 4);
-    for (std::uint32_t y = 0; y < g.height(); ++y) {
-      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(g.row(y)) % kGridAlignment,
-                0U)
-          << "width " << width << " row " << y;
-      for (std::uint32_t x = 0; x < width; ++x) {
-        EXPECT_EQ(g.at(x, y), 1.5F);
-      }
-    }
-  }
-}
-
-TEST(GridAlignmentTest, PaddedEqualsContiguousTwin) {
-  Grid<float> dense(5, 3);
-  Grid<float> padded = Grid<float>::padded(5, 3);
-  float v = 0.0F;
-  for (std::uint32_t y = 0; y < 3; ++y) {
-    for (std::uint32_t x = 0; x < 5; ++x) {
-      dense.at(x, y) = v;
-      padded.at(x, y) = v;
-      v += 0.25F;
-    }
-  }
-  EXPECT_EQ(padded, dense);  // logical equality ignores padding
-  EXPECT_EQ(dense, padded);
-  EXPECT_DOUBLE_EQ(max_abs_diff(padded, dense), 0.0);
-  padded.at(4, 2) = -1.0F;
-  EXPECT_FALSE(padded == dense);
-}
-
-TEST(GridAlignmentTest, PaddedSliceAndPasteKeepLogicalContents) {
-  Grid<float> padded = Grid<float>::padded(5, 4);
-  for (std::uint32_t y = 0; y < 4; ++y) {
-    for (std::uint32_t x = 0; x < 5; ++x) {
-      padded.at(x, y) = static_cast<float>(y * 5 + x);
-    }
-  }
-  const Grid<float> slice = padded.slice_rows(1, 3);
-  EXPECT_TRUE(slice.contiguous());  // slices are dense
-  EXPECT_EQ(slice.at(0, 0), 5.0F);
-  EXPECT_EQ(slice.at(4, 1), 14.0F);
-  Grid<float> dst = Grid<float>::padded(5, 4, 0.0F);
-  dst.paste_rows(1, slice);
-  EXPECT_EQ(dst.at(4, 2), 14.0F);
-  EXPECT_EQ(dst.at(0, 0), 0.0F);
-}
-
-TEST(GridAlignmentTest, WidthExactlyOneLaneGroupHasNoPadding) {
-  constexpr std::uint32_t kLane = kGridAlignment / sizeof(float);  // 16
-  const Grid<float> g = Grid<float>::padded(kLane, 2);
-  EXPECT_EQ(g.stride(), kLane);
-  EXPECT_TRUE(g.contiguous());
 }
 
 TEST(GridAlignmentDeathTest, ZeroDimensionAborts) {
   EXPECT_DEATH(Grid<float>(0, 3), "DAS_REQUIRE");
   EXPECT_DEATH(Grid<float>(3, 0), "DAS_REQUIRE");
-  EXPECT_DEATH(Grid<float>::padded(0, 3), "DAS_REQUIRE");
 }
-
-// DAS_ASSERT guards compile out under NDEBUG; the Debug/ASan CI job keeps
-// this armed.
-#ifndef NDEBUG
-TEST(GridAlignmentDeathTest, LinearViewsOfPaddedGridAbort) {
-  Grid<float> g = Grid<float>::padded(5, 2);
-  EXPECT_FALSE(g.contiguous());
-  EXPECT_DEATH(g.data(), "DAS_ASSERT");
-  EXPECT_DEATH(g[0], "DAS_ASSERT");
-}
-#endif
 
 TEST(GridDeathTest, BadSliceRangeAborts) {
   const Grid<int> g(2, 2);

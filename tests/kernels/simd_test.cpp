@@ -1,7 +1,7 @@
 // Property suite for the vectorized kernel engine: every ISA the CPU can
-// run, blocked or unblocked, must reproduce the scalar unblocked sweep BIT
-// FOR BIT on every kernel — this is what keeps scheme CSVs and traces
-// byte-identical whatever hardware the simulator runs on.
+// run must reproduce the scalar sweep BIT FOR BIT on every kernel — this is
+// what keeps scheme CSVs and traces byte-identical whatever hardware the
+// simulator runs on.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -18,26 +18,19 @@
 namespace das::kernels {
 namespace {
 
-/// Pins ISA and block width for one test body, restoring on exit so test
-/// order never leaks state.
+/// Pins the ISA for one test body, restoring on exit so test order never
+/// leaks state.
 class EngineGuard {
  public:
-  EngineGuard(simd::Isa isa, std::uint32_t block_cols)
-      : saved_override_(simd::isa_override()),
-        saved_block_(simd::block_cols()) {
+  explicit EngineGuard(simd::Isa isa) : saved_override_(simd::isa_override()) {
     simd::set_isa_override(isa);
-    simd::set_block_cols(block_cols);
   }
-  ~EngineGuard() {
-    simd::set_isa_override(saved_override_);
-    simd::set_block_cols(saved_block_);
-  }
+  ~EngineGuard() { simd::set_isa_override(saved_override_); }
   EngineGuard(const EngineGuard&) = delete;
   EngineGuard& operator=(const EngineGuard&) = delete;
 
  private:
   std::optional<simd::Isa> saved_override_;
-  std::uint32_t saved_block_;
 };
 
 std::vector<simd::Isa> runnable_isas() {
@@ -80,6 +73,8 @@ using SimdCase = std::tuple<std::string, std::uint32_t>;  // kernel, height
 
 class SimdBitIdenticalTest : public ::testing::TestWithParam<SimdCase> {};
 
+// The name is kept from when sweeps also varied a column-block width, so the
+// test ids stay stable.
 TEST_P(SimdBitIdenticalTest, AllIsasAndBlockingsMatchScalar) {
   const auto& [name, height] = GetParam();
   const KernelRegistry registry = standard_registry();
@@ -90,19 +85,16 @@ TEST_P(SimdBitIdenticalTest, AllIsasAndBlockingsMatchScalar) {
 
     grid::Grid<float> reference(width, height);
     {
-      EngineGuard guard(simd::Isa::kScalar, 0);  // scalar, unblocked
+      EngineGuard guard(simd::Isa::kScalar);
       reference = kernel->run_reference(input);
     }
 
     for (const simd::Isa isa : runnable_isas()) {
-      for (const std::uint32_t block : {0U, 7U, simd::kDefaultBlockCols}) {
-        EngineGuard guard(isa, block);
-        const grid::Grid<float> out = kernel->run_reference(input);
-        expect_bits_equal(out, reference,
-                          name + " w" + std::to_string(width) + " isa=" +
-                              simd::to_string(isa) + " block=" +
-                              std::to_string(block));
-      }
+      EngineGuard guard(isa);
+      const grid::Grid<float> out = kernel->run_reference(input);
+      expect_bits_equal(out, reference,
+                        name + " w" + std::to_string(width) + " isa=" +
+                            simd::to_string(isa));
     }
   }
 }
@@ -134,12 +126,12 @@ TEST(SimdTilingTest, TiledSweepsMatchScalarWholeGrid) {
     const KernelPtr kernel = registry.create(name);
     grid::Grid<float> reference(width, height);
     {
-      EngineGuard guard(simd::Isa::kScalar, 0);
+      EngineGuard guard(simd::Isa::kScalar);
       reference = kernel->run_reference(input);
     }
     const std::uint32_t halo = kernel->halo_rows();
     for (const simd::Isa isa : runnable_isas()) {
-      EngineGuard guard(isa, 7);
+      EngineGuard guard(isa);
       for (const std::uint32_t slabs : {2U, 5U}) {
         grid::Grid<float> stitched(width, height);
         for (std::uint32_t i = 0; i < slabs; ++i) {
@@ -168,11 +160,11 @@ TEST(SimdStatisticsTest, SummaryBitIdenticalAcrossIsas) {
     const grid::Grid<float> input = image(width, 19);
     RasterSummary reference;
     {
-      EngineGuard guard(simd::Isa::kScalar, 0);
+      EngineGuard guard(simd::Isa::kScalar);
       reference = RasterSummary::of(input);
     }
     for (const simd::Isa isa : runnable_isas()) {
-      EngineGuard guard(isa, 0);
+      EngineGuard guard(isa);
       const RasterSummary s = RasterSummary::of(input);
       EXPECT_EQ(s.count, reference.count) << "w" << width;
       EXPECT_EQ(0, std::memcmp(&s.min, &reference.min, sizeof(float)));
@@ -218,12 +210,13 @@ TEST(SimdDispatchTest, UnsupportedIsaThrows) {
 TEST(SimdDispatchTest, EveryIsaHasRowFunctions) {
   for (const simd::Isa isa :
        {simd::Isa::kScalar, simd::Isa::kSse2, simd::Isa::kAvx2}) {
-    EXPECT_NE(simd::laplacian_row(isa), nullptr);
-    EXPECT_NE(simd::gaussian_row(isa), nullptr);
-    EXPECT_NE(simd::median_row(isa), nullptr);
-    EXPECT_NE(simd::flow_routing_row(isa), nullptr);
-    EXPECT_NE(simd::slope_row(isa), nullptr);
-    EXPECT_NE(simd::statistics_row(isa), nullptr);
+    const simd::RowKernels& rows = simd::row_kernels(isa);
+    EXPECT_NE(rows.laplacian, nullptr);
+    EXPECT_NE(rows.gaussian, nullptr);
+    EXPECT_NE(rows.median, nullptr);
+    EXPECT_NE(rows.flow_routing, nullptr);
+    EXPECT_NE(rows.slope, nullptr);
+    EXPECT_NE(rows.statistics, nullptr);
   }
 }
 
@@ -251,12 +244,12 @@ TEST(SimdFlowRoutingTest, TieBreaksMatchScalarOnPlateausAndSteps) {
   for (const grid::Grid<float>& input : inputs) {
     grid::Grid<float> reference(width, height);
     {
-      EngineGuard guard(simd::Isa::kScalar, 0);
+      EngineGuard guard(simd::Isa::kScalar);
       reference = kernel->run_reference(input);
     }
     EXPECT_EQ(reference.at(17, 11), 0.0F) << "a pit routes nowhere";
     for (const simd::Isa isa : runnable_isas()) {
-      EngineGuard guard(isa, 7);
+      EngineGuard guard(isa);
       const grid::Grid<float> out = kernel->run_reference(input);
       expect_bits_equal(out, reference,
                         std::string("flow-routing ties isa=") +

@@ -6,13 +6,13 @@
 //
 //   das_sim [--scheme=all|TS|NAS|DAS] [--kernel=all|<name>]
 //           [--gib=24] [--nodes=24] [--trials=1] [--csv] [--jobs=1]
-//           [--strip-kib=1024] [--group=16] [--budget=0.25]
+//           [--strip-kib=1024] [--group=16] [--budget-pct=25]
 //           [--pipeline=1] [--window=4] [--pre-distributed=true] [--repeats=1]
 //           [--cache-mib=0] [--cache-policy=lru]
 //           [--prefetch=on|off] [--prefetch-depth=0]
 //           [--migrate=off] [--migrate-threshold=4.0]
 //           [--nic-mibps=110] [--disk-mibps=700] [--compute-mibps=450]
-//           [--startup-s=12] [--jitter=0] [--stragglers=0] [--slowdown=1]
+//           [--startup-s=12] [--jitter-pct=0] [--stragglers=0] [--slowdown=1]
 //           [--trace=FILE] [--audit=FILE] [--log-level=LEVEL]
 //           [--tenants=1] [--arrival-rate=1.0] [--tenant-jobs=8]
 //           [--job-mib=16] [--datasets=1] [--replicas=2]
@@ -103,6 +103,8 @@
 #include <memory>
 #include <optional>
 #include <stdexcept>
+#include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -176,6 +178,30 @@ das::core::ComputeCostModel parse_kernel_cost(const std::string& arg) {
   return model;
 }
 
+/// Parse --weights="w,w,...": every entry must parse in full as a number
+/// (range checks are run_traffic's).
+std::vector<double> parse_weights(const std::string& arg) {
+  std::vector<double> weights;
+  for (std::size_t pos = 0; pos < arg.size();) {
+    const std::size_t comma = std::min(arg.find(',', pos), arg.size());
+    const std::string entry = arg.substr(pos, comma - pos);
+    std::size_t used = 0;
+    double weight = 0.0;
+    try {
+      weight = std::stod(entry, &used);
+    } catch (const std::exception&) {
+      used = 0;  // non-numeric: fall through to the error below
+    }
+    if (entry.empty() || used != entry.size()) {
+      throw std::invalid_argument("--weights=" + arg +
+                                  ": must be comma-separated numbers");
+    }
+    weights.push_back(weight);
+    pos = comma + 1;
+  }
+  return weights;
+}
+
 /// Throw unless `ok`, naming the flag and the value it was given.
 void check_flag(bool ok, const std::string& flag, std::int64_t value,
                 const char* rule) {
@@ -193,9 +219,11 @@ std::uint64_t get_unsigned(const das::runner::Args& args,
   return static_cast<std::uint64_t>(value);
 }
 
-/// The flag that sets a run option the driver's validate() rejected, so the
-/// error names what was typed; null for any other error.
+/// The flag that sets a run option the driver's validate() (or
+/// run_traffic) rejected, so the error names what was typed; null for any
+/// other error.
 const char* flag_of_rejected_option(const std::string& message) {
+  constexpr std::string_view kPrefix = "invalid run option ";
   static const std::pair<const char*, const char*> kFlags[] = {
       {"workload.data_bytes=", "--gib"},
       {"cluster.nic_bandwidth_bps=", "--nic-mibps"},
@@ -204,10 +232,20 @@ const char* flag_of_rejected_option(const std::string& message) {
       {"cluster.job_startup=", "--startup-s"},
       {"cluster.disk_jitter=", "--jitter-pct"},
       {"cluster.pipeline_window=", "--window"},
+      {"cluster.straggler_count=", "--stragglers"},
+      {"cluster.straggler_slowdown=", "--slowdown"},
       {"pipeline_length=", "--pipeline"},
-      {"repeat_count=", "--repeats"}};
+      {"repeat_count=", "--repeats"},
+      {"arrivals.tenants=", "--tenants"},
+      {"arrivals.rate_hz=", "--arrival-rate"},
+      {"arrivals.job_bytes=", "--job-mib"},
+      {"arrivals.datasets=", "--datasets"},
+      {"weights=", "--weights"}};
+  if (!message.starts_with(kPrefix)) return nullptr;
+  const std::string_view field =
+      std::string_view(message).substr(kPrefix.size());
   for (const auto& [option, flag] : kFlags) {
-    if (message.find(option) != std::string::npos) return flag;
+    if (field.starts_with(option)) return flag;
   }
   return nullptr;
 }
@@ -442,11 +480,7 @@ int main(int argc, char** argv) {
     traffic.admission.capacity_bytes = admission_mib << 20;
     traffic.fair_queue = args.get_bool("fair-queue", false);
     if (const std::string w = args.get("weights", ""); !w.empty()) {
-      for (std::size_t pos = 0; pos < w.size();) {
-        const std::size_t comma = std::min(w.find(',', pos), w.size());
-        traffic.weights.push_back(std::stod(w.substr(pos, comma - pos)));
-        pos = comma + 1;
-      }
+      traffic.weights = parse_weights(w);
     }
     traffic.straggler.hedge = args.get_bool("hedge", false);
     traffic.straggler.reroute = args.get_bool("reroute", false);
