@@ -1,6 +1,6 @@
 // Paper-experiment helpers: the exact configurations of the paper's
-// evaluation (§IV-A) and sweep/reporting utilities shared by the bench
-// binaries.
+// evaluation (§IV-A) and the shape-check report shared by the experiment
+// registry (runner/experiments.hpp).
 #pragma once
 
 #include <cstdint>

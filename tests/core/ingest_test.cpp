@@ -97,7 +97,7 @@ TEST_F(IngestFixture, DasIngestMovesOnlyTheReplicaFractionExtra) {
   // only adds the replica fraction of traffic (2*halo/r). Time is not
   // asserted here — at tiny strip sizes the grouped layout actually
   // ingests *faster* (sequential disk writes, fewer seeks); the
-  // paper-scale timing comparison lives in bench_ablation_ingest.
+  // paper-scale timing comparison is ablation A6 (das_sim --figure=a6).
   sim::SimTime rr_done = -1;
   ingestor_->ingest(raster_meta(512),
                     std::make_unique<pfs::RoundRobinLayout>(4), nullptr,
