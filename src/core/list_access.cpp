@@ -1,6 +1,7 @@
 #include "core/list_access.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -38,13 +39,17 @@ AccessSpec AccessSpec::parse(const std::string& text) {
     std::size_t used = 0;
     unsigned long value = 0;
     try {
-      value = std::stoul(k, &used);
+      // stoul takes a sign (and wraps "-3"): K must be plain digits.
+      if (!k.empty() && k[0] >= '0' && k[0] <= '9') {
+        value = std::stoul(k, &used);
+      }
     } catch (const std::exception&) {
       used = 0;
     }
-    if (used != k.size() || value == 0) {
-      throw std::invalid_argument("--access=strided:K needs K >= 1, got \"" +
-                                  text + "\"");
+    if (used != k.size() || value == 0 || value > UINT32_MAX) {
+      throw std::invalid_argument(
+          "--access=strided:K needs 1 <= K <= 4294967295, got \"" + text +
+          "\"");
     }
     spec.mode = Mode::kStrided;
     spec.stride = static_cast<std::uint32_t>(value);

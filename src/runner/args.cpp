@@ -1,5 +1,6 @@
 #include "runner/args.hpp"
 
+#include <cstddef>
 #include <stdexcept>
 
 namespace das::runner {
@@ -34,17 +35,50 @@ std::string Args::get(const std::string& name,
   return it == values_.end() ? fallback : it->second;
 }
 
+namespace {
+
+/// `parse(value, &used)` if it consumes the whole token; otherwise (a
+/// prefix like "1x" or "8.9" for an integer, garbage, or out of range)
+/// throws naming the flag and the value.
+template <typename T, typename Parse>
+T parse_whole(const std::string& name, const std::string& value,
+              const char* expected, Parse parse) {
+  std::size_t used = 0;
+  T result{};
+  try {
+    result = parse(value, &used);
+  } catch (const std::exception&) {
+    used = 0;
+  }
+  if (value.empty() || used != value.size()) {
+    throw std::invalid_argument("--" + name + "=" + value + ": expects " +
+                                expected);
+  }
+  return result;
+}
+
+}  // namespace
+
 std::int64_t Args::get_int(const std::string& name,
                            std::int64_t fallback) const {
   touched_[name] = true;
   const auto it = values_.find(name);
-  return it == values_.end() ? fallback : std::stoll(it->second);
+  if (it == values_.end()) return fallback;
+  return parse_whole<std::int64_t>(
+      name, it->second, "an integer",
+      [](const std::string& v, std::size_t* used) {
+        return std::stoll(v, used);
+      });
 }
 
 double Args::get_double(const std::string& name, double fallback) const {
   touched_[name] = true;
   const auto it = values_.find(name);
-  return it == values_.end() ? fallback : std::stod(it->second);
+  if (it == values_.end()) return fallback;
+  return parse_whole<double>(name, it->second, "a number",
+                             [](const std::string& v, std::size_t* used) {
+                               return std::stod(v, used);
+                             });
 }
 
 bool Args::get_bool(const std::string& name, bool fallback) const {

@@ -15,9 +15,12 @@ class Args {
 
   [[nodiscard]] bool has(const std::string& name) const;
 
-  /// Value lookups with defaults. get_bool accepts true/false, 1/0,
-  /// yes/no, and on/off; anything else throws (a typo like --prefetch=of
-  /// silently reading as false would defeat the disabled==baseline check).
+  /// Value lookups with defaults. get_int and get_double accept only a
+  /// value they parse in full (--gib=1x or --nodes=8.9 throws rather than
+  /// reading a prefix), and throw std::invalid_argument naming the flag
+  /// and the value. get_bool accepts true/false, 1/0, yes/no, and on/off;
+  /// anything else throws (a typo like --prefetch=of silently reading as
+  /// false would defeat the disabled==baseline check).
   [[nodiscard]] std::string get(const std::string& name,
                                 const std::string& fallback) const;
   [[nodiscard]] std::int64_t get_int(const std::string& name,

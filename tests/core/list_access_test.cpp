@@ -48,6 +48,12 @@ TEST(AccessSpecTest, ParseRejectsGarbage) {
   EXPECT_THROW(AccessSpec::parse("diagonal"), std::invalid_argument);
   EXPECT_THROW(AccessSpec::parse("strided:0"), std::invalid_argument);
   EXPECT_THROW(AccessSpec::parse("strided:x"), std::invalid_argument);
+  // K is a plain 32-bit count: no sign, no wrap past 4294967295.
+  EXPECT_THROW(AccessSpec::parse("strided:-3"), std::invalid_argument);
+  EXPECT_THROW(AccessSpec::parse("strided:+3"), std::invalid_argument);
+  EXPECT_THROW(AccessSpec::parse("strided:4294967297"),
+               std::invalid_argument);
+  EXPECT_EQ(AccessSpec::parse("strided:4294967295").stride, 4294967295U);
 }
 
 TEST(HaloRowsTest, EightNeighborStencilIsOneRow) {

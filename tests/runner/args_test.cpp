@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 namespace das::runner {
 namespace {
@@ -56,6 +57,26 @@ TEST(ArgsTest, AllFlagsTouchedMeansNoUnused) {
   args.get_int("a", 0);
   args.get_int("b", 0);
   EXPECT_EQ(args.unused(), "");
+}
+
+TEST(ArgsTest, NumbersMustBeWholeTokens) {
+  EXPECT_EQ(parse({"--gib=17179869185"}).get_int("gib", 0), 17179869185);
+  EXPECT_EQ(parse({"--slowdown=1.5"}).get_double("slowdown", 1.0), 1.5);
+  for (const char* value : {"1x", "8.9", "abc", "", "99999999999999999999"}) {
+    const Args args = parse({("--n=" + std::string(value)).c_str()});
+    try {
+      (void)args.get_int("n", 0);
+      ADD_FAILURE() << "--n=" << value << " parsed as an integer";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("--n=" + std::string(value)),
+                std::string::npos)
+          << error.what();
+    }
+  }
+  EXPECT_THROW((void)parse({"--x=1x"}).get_double("x", 0.0),
+               std::invalid_argument);
+  EXPECT_THROW((void)parse({"--x=1e999"}).get_double("x", 0.0),
+               std::invalid_argument);
 }
 
 TEST(ArgsTest, MalformedArgumentThrows) {
