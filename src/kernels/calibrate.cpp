@@ -72,11 +72,11 @@ std::string CalibrationReport::format() const {
                   k.cost_factor);
     out += line;
   }
+  // The --kernel-cost list outgrows `line`: append it whole.
   std::snprintf(line, sizeof(line),
-                "recommended flags:\n  --compute-mibps=%.0f\n"
-                "  --kernel-cost=%s\n",
-                anchor_mibps, kernel_cost_flag().c_str());
+                "recommended flags:\n  --compute-mibps=%.0f\n", anchor_mibps);
   out += line;
+  out += "  --kernel-cost=" + kernel_cost_flag() + "\n";
   return out;
 }
 

@@ -130,6 +130,9 @@ TEST(KernelCalibrationTest, ReportIsWellFormed) {
   EXPECT_NE(flag.find("flow-routing:"), std::string::npos);
   EXPECT_NE(flag.find("raster-statistics:"), std::string::npos);
   EXPECT_NE(report.format().find("--compute-mibps"), std::string::npos);
+  // The printed flag is the whole list, ready to paste.
+  EXPECT_NE(report.format().find("--kernel-cost=" + flag + "\n"),
+            std::string::npos);
 }
 
 }  // namespace
