@@ -63,9 +63,9 @@ TEST(ClusterTest, PaperDefaultsAreOneToOne) {
 
 TEST(ClusterDeathTest, OutOfRangeLookupsAbort) {
   Cluster cluster(small_config());
-  EXPECT_DEATH(cluster.storage_node(3), "DAS_REQUIRE");
-  EXPECT_DEATH(cluster.compute_node(2), "DAS_REQUIRE");
-  EXPECT_DEATH(cluster.engine(99), "DAS_REQUIRE");
+  EXPECT_DEATH((void)cluster.storage_node(3), "DAS_REQUIRE");
+  EXPECT_DEATH((void)cluster.compute_node(2), "DAS_REQUIRE");
+  EXPECT_DEATH((void)cluster.engine(99), "DAS_REQUIRE");
 }
 
 }  // namespace

@@ -55,9 +55,9 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(
         ::testing::Values(Scheme::kTS, Scheme::kNAS, Scheme::kDAS),
         ::testing::Values("flow-routing", "gaussian-2d", "median-3x3")),
-    [](const auto& info) {
-      std::string name = std::string(to_string(std::get<0>(info.param))) +
-                         "_" + std::get<1>(info.param);
+    [](const auto& test) {
+      std::string name = std::string(to_string(std::get<0>(test.param))) +
+                         "_" + std::get<1>(test.param);
       for (auto& c : name) {
         if (c == '-') c = '_';
       }
@@ -87,10 +87,10 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(Scheme::kTS, Scheme::kNAS, Scheme::kDAS),
         ::testing::Values("flow-routing", "surface-slope"),
         ::testing::Values(std::uint64_t{64}, std::uint64_t{4})),
-    [](const auto& info) {
-      std::string name = std::string(to_string(std::get<0>(info.param))) +
-                         "_" + std::get<1>(info.param) +
-                         (std::get<2>(info.param) == 64 ? "_16x1" : "_1x16");
+    [](const auto& test) {
+      std::string name = std::string(to_string(std::get<0>(test.param))) +
+                         "_" + std::get<1>(test.param) +
+                         (std::get<2>(test.param) == 64 ? "_16x1" : "_1x16");
       for (auto& c : name) {
         if (c == '-') c = '_';
       }

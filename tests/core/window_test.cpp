@@ -85,9 +85,9 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(Scheme::kTS, Scheme::kNAS,
                                          Scheme::kDAS),
                        ::testing::Values(1U, 2U, 8U, 32U)),
-    [](const auto& info) {
-      return std::string(to_string(std::get<0>(info.param))) + "_w" +
-             std::to_string(std::get<1>(info.param));
+    [](const auto& test) {
+      return std::string(to_string(std::get<0>(test.param))) + "_w" +
+             std::to_string(std::get<1>(test.param));
     });
 
 TEST(WindowDepthTest, DeeperWindowsOverlapMoreWork) {

@@ -176,9 +176,9 @@ TEST_P(ImageOptionsReferenceTest, MatchesReference) {
 
 INSTANTIATE_TEST_SUITE_P(Options, ImageOptionsReferenceTest,
                          ::testing::ValuesIn(kImageCases),
-                         [](const auto& info) {
+                         [](const auto& test) {
                            return std::string(
-                               kImageCaseNames[info.param.name]);
+                               kImageCaseNames[test.param.name]);
                          });
 
 // The band is exact because the DEM's top-left corner never depends on the

@@ -42,7 +42,8 @@ TEST(ImpulseNoiseTest, RateIsApproximate) {
     ASSERT_TRUE(img[i] == 10.0F || img[i] == 255.0F);
     if (img[i] == 255.0F) ++impulses;
   }
-  const double rate = static_cast<double>(impulses) / img.size();
+  const double rate =
+      static_cast<double>(impulses) / static_cast<double>(img.size());
   EXPECT_NEAR(rate, 0.05, 0.01);
 }
 

@@ -110,8 +110,8 @@ INSTANTIATE_TEST_SUITE_P(
                       std::vector<std::uint32_t>{0, 1, 2, 3, 4, 40},
                       std::vector<std::uint32_t>{0,  6,  12, 18, 24,
                                                  30, 36, 42}),
-    [](const auto& info) {
-      return "slabs" + std::to_string(info.param.size());
+    [](const auto& test) {
+      return "slabs" + std::to_string(test.param.size());
     });
 
 TEST(DistributedAccumulationTest, SingleSlabConvergesInOneRound) {

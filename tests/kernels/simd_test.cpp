@@ -105,12 +105,12 @@ INSTANTIATE_TEST_SUITE_P(
                                          "surface-slope", "median-3x3",
                                          "flow-routing"),
                        ::testing::Values(3U, 16U, 33U)),
-    [](const auto& info) {
-      std::string name = std::get<0>(info.param);
+    [](const auto& test) {
+      std::string name = std::get<0>(test.param);
       for (auto& c : name) {
         if (c == '-') c = '_';
       }
-      return name + "_h" + std::to_string(std::get<1>(info.param));
+      return name + "_h" + std::to_string(std::get<1>(test.param));
     });
 
 // Tile splits: dispatched sweeps must stitch bit-identically too (the

@@ -92,8 +92,8 @@ TEST(StatisticsKernelDeathTest, RunTileIsForbidden) {
 
 TEST(RasterSummaryDeathTest, StatsOfNothingAbort) {
   const RasterSummary s;
-  EXPECT_DEATH(s.mean(), "DAS_REQUIRE");
-  EXPECT_DEATH(s.variance(), "DAS_REQUIRE");
+  EXPECT_DEATH((void)s.mean(), "DAS_REQUIRE");
+  EXPECT_DEATH((void)s.variance(), "DAS_REQUIRE");
 }
 
 }  // namespace

@@ -75,13 +75,13 @@ INSTANTIATE_TEST_SUITE_P(
                           "surface-slope", "laplacian-4"),
         ::testing::Values(1U, 2U, 3U, 5U, 8U, 16U),
         ::testing::Values(16U, 33U, 64U)),
-    [](const auto& info) {
-      std::string name = std::get<0>(info.param);
+    [](const auto& test) {
+      std::string name = std::get<0>(test.param);
       for (auto& c : name) {
         if (c == '-') c = '_';
       }
-      return name + "_s" + std::to_string(std::get<1>(info.param)) + "_h" +
-             std::to_string(std::get<2>(info.param));
+      return name + "_s" + std::to_string(std::get<1>(test.param)) + "_h" +
+             std::to_string(std::get<2>(test.param));
     });
 
 TEST(TilingContractTest, OversizedBufferIsAccepted) {

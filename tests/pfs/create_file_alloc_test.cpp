@@ -32,6 +32,10 @@ void* operator new(std::size_t size) {
   return static_cast<char*>(raw) + kHeader;
 }
 
+// GCC 12 takes `p` to come from operator new and so reports freeing the block
+// around it as a mismatched pair; the operator new above mallocs that block.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 void operator delete(void* p) noexcept {
   if (p == nullptr) return;
   char* raw = static_cast<char*>(p) - kHeader;
@@ -39,6 +43,7 @@ void operator delete(void* p) noexcept {
   g_live_bytes -= static_cast<std::int64_t>(size);
   std::free(raw);
 }
+#pragma GCC diagnostic pop
 
 void* operator new[](std::size_t size) { return ::operator new(size); }
 void operator delete[](void* p) noexcept { ::operator delete(p); }

@@ -179,8 +179,8 @@ TEST(LayoutClosedFormTest, EdgeShapesMatchHolders) {
 
 INSTANTIATE_TEST_SUITE_P(Random, LayoutFuzzTest,
                          ::testing::ValuesIn(random_configs(24)),
-                         [](const auto& info) {
-                           const auto& c = info.param;
+                         [](const auto& test) {
+                           const auto& c = test.param;
                            return "D" + std::to_string(c.servers) + "_r" +
                                   std::to_string(c.group) + "_h" +
                                   std::to_string(c.halo) + "_n" +

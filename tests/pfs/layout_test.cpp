@@ -157,10 +157,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(OverheadCase{4, 4, 1}, OverheadCase{4, 8, 1},
                       OverheadCase{4, 16, 2}, OverheadCase{8, 8, 2},
                       OverheadCase{2, 6, 3}, OverheadCase{12, 16, 1}),
-    [](const auto& info) {
-      return "D" + std::to_string(info.param.servers) + "_r" +
-             std::to_string(info.param.group) + "_h" +
-             std::to_string(info.param.halo);
+    [](const auto& test) {
+      return "D" + std::to_string(test.param.servers) + "_r" +
+             std::to_string(test.param.group) + "_h" +
+             std::to_string(test.param.halo);
     });
 
 TEST(LayoutTest, StoredBytesSumsToFileSizeWithoutReplication) {

@@ -148,9 +148,9 @@ TEST_F(MigrateFixture, ReadsMidMigrationSeeCorrectBytes) {
   // must assemble the original content regardless of where the frontier is.
   std::vector<std::vector<std::byte>> results(4);
   std::uint32_t reads_done = 0;
-  for (int i = 0; i < 4; ++i) {
+  for (std::size_t i = 0; i < 4; ++i) {
     sim_.schedule_at(
-        sim::microseconds(1 + 40 * i),
+        sim::microseconds(1 + 40 * static_cast<std::int64_t>(i)),
         [&, i]() {
           auto* out = &results[i];
           out->assign(data_.size(), std::byte{0});

@@ -437,8 +437,8 @@ TEST_P(PlacementEquivalenceTest, DerivedStoreMatchesTheSlotStore) {
 
 INSTANTIATE_TEST_SUITE_P(Servers, PlacementEquivalenceTest,
                          ::testing::Values(1U, 2U, 3U, 12U),
-                         [](const auto& info) {
-                           return "D" + std::to_string(info.param);
+                         [](const auto& test) {
+                           return "D" + std::to_string(test.param);
                          });
 
 }  // namespace

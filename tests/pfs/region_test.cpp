@@ -190,7 +190,7 @@ TEST(SplitByStripTest, RunsBeyondFourGiBKeepExactArithmetic) {
 TEST(SplitByStripTest, RunPastEofRejectedWithExactNumbers) {
   const FileMeta meta = meta_of(1000, 64 * 1024);
   try {
-    split_by_strip(meta, RegionList::from_runs({{900, 200}}));
+    (void)split_by_strip(meta, RegionList::from_runs({{900, 200}}));
     FAIL() << "run past EOF must throw";
   } catch (const std::invalid_argument& e) {
     const std::string what = e.what();

@@ -49,7 +49,9 @@ TEST_F(PfsFixture, CreateFilePlacesStripsOnHolders) {
     const ServerIndex holder = pfs_->layout(f).primary(s);
     EXPECT_TRUE(pfs_->server(holder).store().has(f, s));
     for (ServerIndex other = 0; other < 4; ++other) {
-      if (other != holder) EXPECT_FALSE(pfs_->server(other).store().has(f, s));
+      if (other != holder) {
+        EXPECT_FALSE(pfs_->server(other).store().has(f, s));
+      }
     }
   }
   EXPECT_EQ(pfs_->total_stored_bytes(), 1000U);

@@ -203,7 +203,7 @@ TEST(ServerStoreDeathTest, LengthMismatchAborts) {
 
 TEST(ServerStoreDeathTest, MissingStripAborts) {
   ServerStore store;
-  EXPECT_DEATH(store.bytes(0, 0), "DAS_REQUIRE");
+  EXPECT_DEATH((void)store.bytes(0, 0), "DAS_REQUIRE");
   EXPECT_DEATH(store.erase(0, 0), "DAS_REQUIRE");
 }
 

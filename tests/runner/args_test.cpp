@@ -54,8 +54,8 @@ TEST(ArgsTest, UnusedFlagsAreReported) {
 
 TEST(ArgsTest, AllFlagsTouchedMeansNoUnused) {
   const Args args = parse({"--a=1", "--b=2"});
-  args.get_int("a", 0);
-  args.get_int("b", 0);
+  (void)args.get_int("a", 0);
+  (void)args.get_int("b", 0);
   EXPECT_EQ(args.unused(), "");
 }
 

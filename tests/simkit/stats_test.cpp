@@ -206,7 +206,7 @@ TEST(GaugeTest, SameInstantUpdateReplacesValue) {
 
 TEST(HistogramDeathTest, QuantileOfEmptyAborts) {
   Histogram h;
-  EXPECT_DEATH(h.quantile(0.5), "DAS_REQUIRE");
+  EXPECT_DEATH((void)h.quantile(0.5), "DAS_REQUIRE");
 }
 
 // Property: the running median equals the histogram's nearest-rank median

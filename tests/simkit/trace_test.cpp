@@ -132,10 +132,10 @@ TEST(TracerTest, EveryAsyncBeginHasAMatchingEnd) {
   Tracer t;
   t.enable();
   for (std::uint64_t i = 1; i <= 5; ++i) {
-    t.async_begin(i * 10, 0, i, "as.run", "request");
+    t.async_begin(static_cast<SimTime>(i * 10), 0, i, "as.run", "request");
   }
   for (std::uint64_t i = 1; i <= 5; ++i) {
-    t.async_end(i * 10 + 100, 0, i, "as.run", "request");
+    t.async_end(static_cast<SimTime>(i * 10 + 100), 0, i, "as.run", "request");
   }
   std::map<std::uint64_t, int> open;
   for (const TraceEvent& e : t.sorted_events()) {

@@ -31,7 +31,9 @@ TEST(ArrivalsTest, GeneratesJobsPerTenantSortedByTime) {
     const JobArrival& job = schedule[i];
     ASSERT_LT(job.tenant, 4u);
     ++per_tenant[job.tenant];
-    if (i > 0) EXPECT_GE(job.at, schedule[i - 1].at);
+    if (i > 0) {
+      EXPECT_GE(job.at, schedule[i - 1].at);
+    }
   }
   for (const std::uint64_t n : per_tenant) EXPECT_EQ(n, 16u);
 }

@@ -192,7 +192,7 @@ TEST_F(StragglerSchedulerFixture, HedgeUsesHolderSnapshotAcrossMigration) {
   // Warm-up: one spaced read per strip seeds the latency histogram; each
   // completes well under the 2 ms hedge floor, so no warm-up hedges fire.
   for (std::uint64_t s = 0; s < 8; ++s) {
-    reads_at(sim::milliseconds(10 * (s + 1)), s, 1);
+    reads_at(sim::milliseconds(static_cast<std::int64_t>(10 * (s + 1))), s, 1);
   }
 
   // Flood server 0's disk with untagged reads so the probe's primary reply
