@@ -38,8 +38,9 @@ struct RunReport {
   std::uint64_t sim_events = 0;
 
   /// Run session id (0 when the driver minted none). Stamped into traces,
-  /// audits, SLO CSVs, metrics and diag files; excluded from to_csv() so
-  /// the scheme CSV schema is unchanged.
+  /// audits, SLO CSVs, flight records and diag files (not the metrics CSV
+  /// or Prometheus sidecars); excluded from to_csv() so the scheme CSV
+  /// schema is unchanged.
   std::uint64_t session_id = 0;
 
   /// Causal-span critical-path attribution: total seconds charged to each

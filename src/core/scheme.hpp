@@ -63,8 +63,8 @@ struct SchemeRunOptions {
   /// decision note. Single-stage runs only.
   AccessSpec access;
   /// List-TS: expand every run to its enclosing whole strips before issuing
-  /// — the pre-list-I/O behavior, kept as the A/B baseline bench_listio
-  /// measures the bytes-moved reduction against.
+  /// — the pre-list-I/O behavior, kept as the A/B baseline experiment E3
+  /// (`das_sim --figure=e3`) measures the bytes-moved reduction against.
   bool whole_strips = false;
   /// Run context (logger/tracer/rng) for this run; null gives the cluster's
   /// simulator its private default. Parallel sweeps give every run its own

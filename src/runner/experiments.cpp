@@ -907,7 +907,7 @@ Experiment a9() {
   return e;
 }
 
-// ---------------------------------------------------- Extensions E1-E2
+// ---------------------------------------------------- Extensions E1-E4
 
 // Reduction offloading (raster-statistics): the active-disk literature the
 // paper builds on targets kernels whose output is a few bytes. Offloading
@@ -1057,10 +1057,123 @@ Experiment e2() {
       }};
 }
 
+const char* const kListAccesses[] = {"strided:8", "column"};
+
+// List I/O (Ching et al., noncontiguous I/O through PVFS): a sparse TS read
+// ships only its runs plus list headers, where the pre-list-I/O request
+// plane fetched every enclosing whole strip. Rows are 4 KiB in 1 MiB
+// strips, so the sampled runs touch every strip and whole-strip fetches
+// move the entire file. strided:8 is every 8th row plus the stencil halo;
+// column is one raster column plus halo, where per-run framing dominates.
+Experiment e3() {
+  Experiment e{"e3",
+               "Extension E3: list I/O vs whole-strip fetches (TS "
+               "flow-routing, 1 GiB, 16 nodes, 4 KiB rows in 1 MiB strips)",
+               "a sparse read moves only its runs plus headers: at 1/8 row "
+               "sparsity under 40% of the whole-strip bytes, and no slower",
+               {},
+               {}};
+  for (const char* access : kListAccesses) {
+    for (const bool whole_strips : {false, true}) {
+      core::SchemeRunOptions o =
+          paper_options(Scheme::kTS, "flow-routing", 1, 16);
+      o.workload.raster_width = 1024;
+      o.access = core::AccessSpec::parse(access);
+      o.whole_strips = whole_strips;
+      e.cells.push_back(scheme_cell(o));
+    }
+  }
+  e.derive = [](const Reports& r, Checks& checks) {
+    // Per access, the list cell is at an even index, whole strips after it.
+    const auto bytes_ratio = [&r](std::size_t list) {
+      return static_cast<double>(r[list].client_server_bytes) /
+             static_cast<double>(r[list + 1].client_server_bytes);
+    };
+    std::string out;
+    appendf(out, "\n%-10s %12s %14s %7s %8s %9s\n", "access", "list B",
+            "whole-strip B", "ratio", "list(s)", "whole(s)");
+    for (std::size_t i = 0; i < std::size(kListAccesses); ++i) {
+      const RunReport& list = r[2 * i];
+      const RunReport& whole = r[2 * i + 1];
+      appendf(out, "%-10s %12llu %14llu %7.4f %8.3f %9.3f\n", kListAccesses[i],
+              static_cast<unsigned long long>(list.client_server_bytes),
+              static_cast<unsigned long long>(whole.client_server_bytes),
+              bytes_ratio(2 * i), list.exec_seconds, whole.exec_seconds);
+    }
+    checks.push_back({"strided:8 bytes, list / whole strips",
+                      "runs + headers only (tested <= 0.40)", bytes_ratio(0),
+                      bytes_ratio(0) <= 0.40});
+    checks.push_back({"strided:8 time, list / whole strips",
+                      "no slower (tested <= 1.0)",
+                      r[0].exec_seconds / r[1].exec_seconds,
+                      r[0].exec_seconds <= r[1].exec_seconds});
+    checks.push_back({"column bytes, list / whole strips",
+                      "fewer bytes (tested < 1.0)", bytes_ratio(2),
+                      r[2].client_server_bytes < r[3].client_server_bytes});
+    return out;
+  };
+  return e;
+}
+
+// Online re-striping after a phase change (Reed et al., dynamic file
+// striping for Lustre): a raster ingested round-robin, the streaming layout,
+// is then read by six flow-routing passes, and under round-robin a 3x3
+// stencil's vertical neighbours sit on adjacent servers, so every pass pays
+// near-total halo traffic. With migration on, the planner sees the
+// divergence after its hysteresis streak and re-stripes the file into the
+// grouped+halo placement while the remaining passes keep reading it. DAS on
+// a file already in that placement is the oracle floor.
+Experiment e4() {
+  core::SchemeRunOptions nas =
+      paper_options(Scheme::kNAS, "flow-routing", 1, 8);
+  nas.repeat_count = 6;
+  core::SchemeRunOptions migrating = nas;
+  migrating.migration.enabled = true;
+  core::SchemeRunOptions das = nas;
+  das.scheme = Scheme::kDAS;  // pre-distributed: the planned placement
+  return {
+      "e4",
+      "Extension E4: online re-striping after a phase change (NAS "
+      "flow-routing, 1 GiB, 8 nodes, 6 passes)",
+      "a file whose layout no longer fits its access is re-striped once, in "
+      "the background, and the move pays for itself in server-to-server "
+      "bytes",
+      {scheme_cell(nas), scheme_cell(migrating), scheme_cell(das)},
+      [](const Reports& r, Checks& checks) {
+        const RunReport& off = r[0];
+        const RunReport& on = r[1];
+        const std::uint64_t net = on.server_server_bytes - on.migration_bytes;
+        const double net_ratio = static_cast<double>(net) /
+                                 static_cast<double>(off.server_server_bytes);
+        std::string out;
+        appendf(out, "\n%-16s %9s %14s %12s\n", "run", "time(s)", "srv-srv B",
+                "moved B");
+        const char* const runs[] = {"NAS", "NAS+migrate", "DAS oracle"};
+        for (std::size_t i = 0; i < std::size(runs); ++i) {
+          appendf(out, "%-16s %9.3f %14llu %12llu\n", runs[i],
+                  r[i].exec_seconds,
+                  static_cast<unsigned long long>(r[i].server_server_bytes),
+                  static_cast<unsigned long long>(r[i].migration_bytes));
+        }
+        appendf(out,
+                "NAS+migrate srv-srv net of the move: %llu B (%.4f of NAS)\n",
+                static_cast<unsigned long long>(net), net_ratio);
+        checks.push_back({"migrations, NAS+migrate",
+                          "exactly one (tested == 1)",
+                          static_cast<double>(on.migrations),
+                          on.migrations == 1});
+        checks.push_back({"net srv-srv bytes, NAS+migrate / NAS",
+                          "the move pays off (tested <= 0.85)", net_ratio,
+                          net_ratio <= 0.85});
+        return out;
+      }};
+}
+
 std::vector<Experiment> registry() {
   std::vector<Experiment> all;
   for (Experiment (*build)() : {table1, fig10, fig11, fig12, fig13, fig14, a1,
-                                a2, a3, a4, a5, a6, a7, a8, a9, e1, e2}) {
+                                a2, a3, a4, a5, a6, a7, a8, a9, e1, e2, e3,
+                                e4}) {
     all.push_back(build());
   }
   return all;

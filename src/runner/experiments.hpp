@@ -1,5 +1,5 @@
 // The paper's evaluation as one experiment registry: Table I, Figs. 10-14
-// (§IV), the ablations A1-A9 and the extensions E1-E2, in EXPERIMENTS.md
+// (§IV), the ablations A1-A9 and the extensions E1-E4, in EXPERIMENTS.md
 // order. `das_sim --figure=<id>|all [--jobs=N]` runs it.
 //
 // An experiment declares its cells (independent simulations), then derives
@@ -21,7 +21,7 @@ struct ExperimentOutput {
   bool all_hold = true;   // every shape check held
 };
 
-/// Run experiment `id` (table1, fig10 .. fig14, a1 .. a9, e1, e2), or every
+/// Run experiment `id` (table1, fig10 .. fig14, a1 .. a9, e1 .. e4), or every
 /// experiment in registry order for "all", on up to `jobs` threads. Throws
 /// std::invalid_argument listing the valid ids for any other id.
 [[nodiscard]] ExperimentOutput run_experiments(const std::string& id,

@@ -1,6 +1,7 @@
 #include "telemetry/registry.hpp"
 
 #include <cstdio>
+#include <map>
 #include <utility>
 
 #include "simkit/assert.hpp"
@@ -57,6 +58,12 @@ std::string prom_labels_with_quantile(const Labels& labels, const char* q) {
   out += q;
   out += "\"}";
   return out;
+}
+
+/// The TYPE of the metric family a series of `kind` belongs to.
+const char* prom_type(SeriesKind kind) {
+  if (kind == SeriesKind::kCounter) return "counter";
+  return kind == SeriesKind::kGauge ? "gauge" : "summary";
 }
 
 std::string fixed(double value) {
@@ -131,43 +138,48 @@ void Registry::sample_into(std::vector<double>& out) const {
 }
 
 std::string Registry::prometheus_text() const {
-  std::string out;
-  for (std::size_t i = 0; i < series_.size(); ++i) {
-    const Series& s = series_[i];
+  // The text format declares a metric family once: one TYPE line, then all
+  // of the family's samples. Families keep their first enrolment's order.
+  std::vector<std::string> families;
+  std::map<std::string, std::size_t> family_of;  // metric name -> index
+  for (const Series& s : series_) {
+    if (s.kind == SeriesKind::kHistSum) continue;  // folded into kHistCount
+    const bool is_summary = s.kind == SeriesKind::kHistCount;
+    const std::string name =
+        prom_name(is_summary ? s.name.substr(0, s.name.size() - 6) : s.name);
+    const auto [at, fresh] = family_of.try_emplace(name, families.size());
+    if (fresh) {
+      families.push_back("# TYPE " + name + ' ' + prom_type(s.kind) + '\n');
+    }
+    std::string& out = families[at->second];
     switch (s.kind) {
       case SeriesKind::kCounter:
-        out += "# TYPE " + prom_name(s.name) + " counter\n";
-        out += prom_name(s.name) + prom_labels(s.labels) + ' ' +
-               std::to_string(*s.cell) + '\n';
+        out += name + prom_labels(s.labels) + ' ' + std::to_string(*s.cell) +
+               '\n';
         break;
       case SeriesKind::kGauge:
-        out += "# TYPE " + prom_name(s.name) + " gauge\n";
-        out += prom_name(s.name) + prom_labels(s.labels) + ' ' +
-               fixed(s.gauge()) + '\n';
+        out += name + prom_labels(s.labels) + ' ' + fixed(s.gauge()) + '\n';
         break;
       case SeriesKind::kHistCount: {
-        // The matching kHistSum follows immediately; emit the full summary
-        // here and skip it there.
-        const std::string base =
-            prom_name(s.name.substr(0, s.name.size() - 6));
-        out += "# TYPE " + base + " summary\n";
         const sim::HistogramSummary summary = s.histogram->summary();
-        out += base + prom_labels_with_quantile(s.labels, "0.5") + ' ' +
+        out += name + prom_labels_with_quantile(s.labels, "0.5") + ' ' +
                fixed(summary.p50) + '\n';
-        out += base + prom_labels_with_quantile(s.labels, "0.95") + ' ' +
+        out += name + prom_labels_with_quantile(s.labels, "0.95") + ' ' +
                fixed(summary.p95) + '\n';
-        out += base + prom_labels_with_quantile(s.labels, "0.99") + ' ' +
+        out += name + prom_labels_with_quantile(s.labels, "0.99") + ' ' +
                fixed(summary.p99) + '\n';
-        out += base + "_count" + prom_labels(s.labels) + ' ' +
+        out += name + "_count" + prom_labels(s.labels) + ' ' +
                std::to_string(s.histogram->count()) + '\n';
-        out += base + "_sum" + prom_labels(s.labels) + ' ' +
+        out += name + "_sum" + prom_labels(s.labels) + ' ' +
                fixed(s.histogram->sum()) + '\n';
         break;
       }
-      case SeriesKind::kHistSum: break;  // folded into kHistCount above
+      case SeriesKind::kHistSum: break;  // skipped above
     }
   }
-  return out;
+  std::string text;
+  for (const std::string& family : families) text += family;
+  return text;
 }
 
 }  // namespace das::telemetry

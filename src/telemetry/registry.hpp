@@ -73,7 +73,8 @@ class Registry {
   void sample_into(std::vector<double>& out) const;
 
   /// Prometheus text exposition of every series (current values), with
-  /// histogram quantile summaries. Deterministic for equal runs.
+  /// histogram quantile summaries: one group per metric family under one
+  /// TYPE line, in first-enrolment order. Deterministic for equal runs.
   [[nodiscard]] std::string prometheus_text() const;
 
  private:

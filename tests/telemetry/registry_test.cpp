@@ -108,6 +108,28 @@ TEST(RegistryTest, PrometheusTextRenamesAndLabelsSeries) {
   EXPECT_THAT(text, HasSubstr("das_slo_burn_rate{tenant=\"0\"} 2.5\n"));
 }
 
+TEST(RegistryTest, PrometheusTextGroupsEachFamilyUnderOneTypeLine) {
+  // Per-server components enroll their families interleaved: a family must
+  // still be declared once, with all its samples in one group.
+  Registry registry;
+  Counter reads0, bytes0, reads1, bytes1;
+  reads0 += 1;
+  bytes0 += 10;
+  reads1 += 2;
+  bytes1 += 20;
+  registry.enroll_counter("pfs.reads", {label("server", "0")}, reads0);
+  registry.enroll_counter("pfs.bytes", {label("server", "0")}, bytes0);
+  registry.enroll_counter("pfs.reads", {label("server", "1")}, reads1);
+  registry.enroll_counter("pfs.bytes", {label("server", "1")}, bytes1);
+  EXPECT_EQ(registry.prometheus_text(),
+            "# TYPE das_pfs_reads counter\n"
+            "das_pfs_reads{server=\"0\"} 1\n"
+            "das_pfs_reads{server=\"1\"} 2\n"
+            "# TYPE das_pfs_bytes counter\n"
+            "das_pfs_bytes{server=\"0\"} 10\n"
+            "das_pfs_bytes{server=\"1\"} 20\n");
+}
+
 TEST(RegistryTest, PrometheusHistogramRendersSummaryQuantiles) {
   Registry registry;
   sim::Histogram h;

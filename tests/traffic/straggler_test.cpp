@@ -47,8 +47,10 @@ TEST(StragglerTest, HedgingCutsTailLatencyUnderSlowServers) {
   EXPECT_GT(hedged.hedges_issued, 0u);
   EXPECT_GT(hedged.hedges_won, 0u);
   EXPECT_GT(hedged.wasted_bytes, 0u);  // losing copies are accounted
-  EXPECT_LT(hedged.total.sojourn.summary().p99,
-            baseline.total.sojourn.summary().p99);
+  // bench_traffic's CI bound: hedging cuts the aggregate p99 sojourn to at
+  // most 70% of the unmitigated p99 (24.5% at this configuration).
+  EXPECT_LE(hedged.total.sojourn.summary().p99,
+            0.7 * baseline.total.sojourn.summary().p99);
 }
 
 TEST(StragglerTest, ReroutingAvoidsSlowPrimaries) {

@@ -24,7 +24,7 @@
 //           [--kernel-isa=auto|scalar|sse2|avx2] [--calibrate-kernels]
 //           [--kernel-cost=NAME:FACTOR,...]
 //           [--access=strided:K|column|trace:FILE] [--span-sample=N]
-//   das_sim --figure=all|table1|fig10..fig14|a1..a9|e1|e2 [--jobs=1]
+//   das_sim --figure=all|table1|fig10..fig14|a1..a9|e1..e4 [--jobs=1]
 //
 // --figure runs the paper-experiment registry (src/runner/experiments.hpp)
 // and prints the chosen table or figure's series, report table and shape
@@ -95,11 +95,12 @@
 // --slo-target-ms arms the per-tenant burn-rate monitor, and
 // --flight-record dumps the span flight-recorder ring captured at each SLO
 // alert. --diag writes a small JSON sidecar (wall seconds, event count) for
-// CI trending. Every output — trace, audit, SLO table, metrics, diag — is
-// stamped with one session id hashed from the run's semantic configuration
-// (never --jobs, output paths, or the telemetry flags themselves), so all
-// artifacts of one experiment join on one key. With every telemetry flag
-// off, outputs are byte-identical to a binary that never heard of them.
+// CI trending. The trace, audit, SLO table, flight record and diag file
+// are stamped with one session id hashed from the run's semantic
+// configuration (never --jobs, output paths, or the telemetry flags
+// themselves), so they join on one key; the --metrics and --metrics-prom
+// sidecars carry no session id. With every telemetry flag off, outputs are
+// byte-identical to a binary that never heard of them.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
